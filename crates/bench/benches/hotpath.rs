@@ -227,12 +227,15 @@ fn bench_fluid(c: &mut Criterion) {
     }
     group.finish();
 
-    // The headline number: a complete million-processor scenario
-    // evaluation (warm start + integrate to steady state).
+    // The headline number: a complete scenario evaluation (warm start
+    // + integrate to steady state). The million-processor point shows
+    // the cost is flat in n; the n = 8 points are what a sweep pays per
+    // small point, with (p = 0.2) and without (p = 1, every think class
+    // direct) the thinking-mass solve in the warm start.
     let mut group = c.benchmark_group("fluid_solve");
-    for n in [1_000u32, 1_000_000] {
-        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
-            let params = SystemParams::new(n, n, 8).unwrap().with_request_probability(0.2).unwrap();
+    for (n, p) in [(8u32, 1.0), (8, 0.2), (1_000, 0.2), (1_000_000, 0.2)] {
+        group.bench_with_input(BenchmarkId::new(format!("p{p}"), n), &n, |b, &n| {
+            let params = SystemParams::new(n, n, 8).unwrap().with_request_probability(p).unwrap();
             let model =
                 FluidModel::new(params, Buffering::Depth(4), &Workload::default(), 8.0).unwrap();
             b.iter(|| black_box(model.solve(&FluidOptions::default()).ebw))

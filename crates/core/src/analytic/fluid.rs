@@ -8,8 +8,8 @@
 //! concentrates on a deterministic fluid trajectory (a propagation-of-
 //! chaos / mean-field limit in the spirit of the finite-buffer ODE
 //! frameworks of arXiv 2411.03780 and arXiv 0710.4638). Solving the
-//! ODEs to steady state costs microseconds *independent of `n`*, so an
-//! `n = 10^6` scenario point is as cheap as an `n = 8` one.
+//! ODEs to steady state costs well under a millisecond *independent of
+//! `n`*, so an `n = 10^6` scenario point is as cheap as an `n = 8` one.
 //!
 //! # State
 //!
@@ -62,6 +62,20 @@
 //! saturation the pools redistribute mass on an O(n) physical time
 //! scale without moving the throughput — waiting for the full state
 //! to freeze would take forever by design, not by accident.)
+//!
+//! # Cost
+//!
+//! A solve is an analytic warm start followed by RK4 steps whose cost
+//! is linear in the state dimension. The warm start is a handful of
+//! nested scalar bisections: per candidate throughput `X`, one on the
+//! mean sojourn (only when some think class is not direct) and one on
+//! `ρ` per buffered module class; at the bus ceiling, one more on the
+//! return share `η`, which re-solves only the pools because nothing
+//! else depends on `η`. Every bisection stops once a halving no longer
+//! moves its bracket (float resolution, typically ~55 halvings), and
+//! the candidates share one set of buffers, so the warm start costs a
+//! few thousand truncated-geometric evaluations and a few
+//! allocations.
 //!
 //! Accuracy is that of a mean-field limit: exact round-trip timing at
 //! light load, exact bus/module saturation ceilings, but no stochastic
@@ -233,6 +247,12 @@ pub struct FluidModel {
     hot_module: Option<usize>,
     /// RK4 step, `0.25 / max(1, fastest rate)`.
     step: f64,
+    /// Number of non-direct think classes (the `U_d` slots).
+    non_direct: usize,
+    /// Length of the pool block `[U_d | w_c | u_R]` ahead of the chains.
+    pool_len: usize,
+    /// Index of the `u_R` slot.
+    u_r_index: usize,
 }
 
 /// Scratch derivative products shared between the integrator and the
@@ -240,6 +260,18 @@ pub struct FluidModel {
 struct Flux {
     /// Return flux `η · R` = instantaneous throughput.
     returns: f64,
+}
+
+/// Buffers shared by every candidate fixed point of one warm start.
+struct Candidate {
+    /// The packed candidate state.
+    state: Vec<f64>,
+    /// Truncated-geometric scratch for the `ρ` bisections.
+    pi: Vec<f64>,
+    /// Per module class `(λ, mean level)` of a buffered chain.
+    chains: Vec<(f64, f64)>,
+    /// Thinking mass of the candidate's `x` half.
+    thinking: f64,
 }
 
 impl FluidModel {
@@ -277,6 +309,8 @@ impl FluidModel {
         let mu = 1.0 / service_mean;
         let fastest =
             thinkers.iter().filter(|t| !t.direct).map(|t| t.rate).fold(1.0_f64.max(mu), f64::max);
+        let non_direct = thinkers.iter().filter(|t| !t.direct).count();
+        let u_r_index = non_direct + modules.len();
         Ok(FluidModel {
             n: f64::from(params.n()),
             rc,
@@ -287,28 +321,19 @@ impl FluidModel {
             thinkers,
             hot_module,
             step: 0.25 / fastest,
+            non_direct,
+            pool_len: u_r_index + 1,
+            u_r_index,
         })
     }
 
     /// State layout: `[U_d (non-direct) | w_c | u_R | chains…]`.
     fn dim(&self) -> usize {
-        self.pool_len() + self.modules.len() * self.chain_len
-    }
-
-    fn pool_len(&self) -> usize {
-        self.non_direct() + self.modules.len() + 1
-    }
-
-    fn non_direct(&self) -> usize {
-        self.thinkers.iter().filter(|t| !t.direct).count()
+        self.pool_len + self.modules.len() * self.chain_len
     }
 
     fn chain_offset(&self, class: usize) -> usize {
-        self.pool_len() + class * self.chain_len
-    }
-
-    fn u_r_index(&self) -> usize {
-        self.non_direct() + self.modules.len()
+        self.pool_len + class * self.chain_len
     }
 
     /// Cold start: non-direct processors thinking, direct processors
@@ -326,7 +351,7 @@ impl FluidModel {
             }
         }
         for (c, class) in self.modules.iter().enumerate() {
-            y[self.non_direct() + c] = direct_mass * class.share;
+            y[self.non_direct + c] = direct_mass * class.share;
         }
         for c in 0..self.modules.len() {
             y[self.chain_offset(c)] = 1.0; // π_e or π_0
@@ -347,17 +372,34 @@ impl FluidModel {
     /// shares, and one scalar bisection (on `X` below saturation, on
     /// `η` at the bus ceiling) closes total mass at `n`. RK4 then
     /// polishes the guess and the steady-state detector certifies it.
+    ///
+    /// Cost model: a candidate splits into an `X`-only half (the
+    /// sojourn bisection behind the thinking masses, skipped when every
+    /// think class is direct, and one `ρ` bisection per buffered module
+    /// class) and an `η` half (pools only, no bisection). The `X`
+    /// bisection pays both halves per candidate; the bus-bound `η`
+    /// bisection pays the `X` half once. Every bisection stops as soon
+    /// as a halving no longer moves its bracket, which is at float
+    /// resolution, and all candidates share one set of buffers.
     fn equilibrium_state(&self) -> Option<Vec<f64>> {
         let r_bar = 1.0 / self.mu;
         let unbuffered = self.depth == 0;
-        let top = self.chain_len - 1;
-
-        // Per-module flux ceiling of each class (`λ ≤ 1`, `η ≤ 1`).
-        let f_cap = if unbuffered {
-            1.0 / (r_bar + 2.0)
-        } else {
-            self.mu * (1.0 - truncated_geometric(r_bar, self.chain_len)[0])
+        let mut scratch = Candidate {
+            state: vec![0.0; self.dim()],
+            pi: vec![0.0; self.chain_len],
+            chains: vec![(0.0, 0.0); self.modules.len()],
+            thinking: 0.0,
         };
+
+        // Per-module flux ceiling of each class (`λ ≤ 1`, `η ≤ 1`); a
+        // buffered module is busy at most `1 − π_0(r̄)` of the time.
+        let busy_cap = if unbuffered {
+            1.0
+        } else {
+            truncated_geometric(r_bar, &mut scratch.pi);
+            1.0 - scratch.pi[0]
+        };
+        let f_cap = if unbuffered { 1.0 / (r_bar + 2.0) } else { self.mu * busy_cap };
         let mut x_hi = 0.5;
         let mut binding = None;
         for (c, class) in self.modules.iter().enumerate() {
@@ -371,76 +413,66 @@ impl FluidModel {
         }
         x_hi *= 1.0 - 1e-9;
 
-        let assemble = |x: f64, eta: f64| self.assemble_equilibrium(x, eta, r_bar, top);
+        let assemble = |scratch: &mut Candidate, x: f64, eta: f64| {
+            self.assemble_chains(x, r_bar, busy_cap, scratch)?;
+            self.assemble_equilibrium(x, eta, r_bar, scratch)
+        };
 
-        let (mut state, mass) = match assemble(x_hi, 1.0) {
-            Some((mass_hi, state_hi)) if mass_hi < self.n => {
+        let mut state = vec![0.0; self.dim()];
+        let mass = match assemble(&mut scratch, x_hi, 1.0) {
+            Some(mass_hi) if mass_hi < self.n => {
+                state.copy_from_slice(&scratch.state);
+                let mut best = mass_hi;
                 if binding.is_none() {
                     // Bus-bound: X is pinned at g/2; the return share η
                     // (and with it the w/u_R pool split) closes mass.
-                    let (mut lo, mut hi) = (1e-12, 1.0);
-                    let mut best = (mass_hi, state_hi);
-                    for _ in 0..100 {
-                        let eta = 0.5 * (lo + hi);
-                        match assemble(x_hi, eta) {
+                    // The X half of the candidate stays as assembled.
+                    bisect(1e-12, 1.0, 100, |eta| {
+                        match self.assemble_equilibrium(x_hi, eta, r_bar, &mut scratch) {
                             // Infeasible (λ > η) or still too much mass:
                             // raise η (mass decreases with η).
-                            None => lo = eta,
-                            Some((mass, state)) => {
-                                if mass > self.n {
-                                    lo = eta;
-                                } else {
-                                    hi = eta;
-                                }
-                                best = (mass, state);
+                            None => true,
+                            Some(mass) => {
+                                state.copy_from_slice(&scratch.state);
+                                best = mass;
+                                mass > self.n
                             }
                         }
-                    }
-                    let (mass, state) = best;
-                    (state, mass)
-                } else {
-                    (state_hi, mass_hi)
+                    });
                 }
+                best
             }
             _ => {
                 // Unsaturated: bisect X on total mass (monotone).
-                let (mut lo, mut hi) = (0.0, x_hi);
                 let mut best = None;
-                for _ in 0..100 {
-                    let x = 0.5 * (lo + hi);
-                    match assemble(x, 1.0) {
-                        None => hi = x,
-                        Some((mass, state)) => {
-                            if mass > self.n {
-                                hi = x;
-                            } else {
-                                lo = x;
-                            }
-                            best = Some((mass, state));
-                        }
+                bisect(0.0, x_hi, 100, |x| match assemble(&mut scratch, x, 1.0) {
+                    None => false,
+                    Some(mass) => {
+                        state.copy_from_slice(&scratch.state);
+                        best = Some(mass);
+                        mass <= self.n || mass.is_nan()
                     }
-                }
-                let (mass, state) = best?;
-                (state, mass)
+                });
+                best?
             }
         };
 
         // Park any unplaced mass in a waiting pool whose class is
         // request-capped (`min(w, m)` makes the excess inert there);
         // tiny bisection residue goes by reference share.
+        let nd = self.non_direct;
         let leftover = self.n - mass;
         if leftover > 0.0 {
             let sink = binding.unwrap_or_else(|| {
                 (0..self.modules.len())
                     .max_by(|a, b| {
-                        let key = |c: usize| state[self.non_direct() + c] / self.modules[c].count;
+                        let key = |c: usize| state[nd + c] / self.modules[c].count;
                         key(*a).total_cmp(&key(*b))
                     })
                     .unwrap_or(0)
             });
-            state[self.non_direct() + sink] += leftover;
+            state[nd + sink] += leftover;
         } else {
-            let nd = self.non_direct();
             let mut give_back = -leftover;
             for (c, class) in self.modules.iter().enumerate() {
                 let take = (give_back * class.share).min(state[nd + c]);
@@ -451,26 +483,23 @@ impl FluidModel {
         Some(state)
     }
 
-    /// One candidate fixed point at throughput `x` and return-grant
-    /// rate `eta`: `None` when infeasible (a class would need
-    /// `λ > η`, or an unbuffered module has no idle fraction left).
-    /// Returns the total mass it accounts for plus the packed state.
-    #[allow(clippy::needless_range_loop)]
-    fn assemble_equilibrium(
+    /// The `η`-independent half of the candidate fixed point at
+    /// throughput `x`, written into `scratch`: the thinking masses and,
+    /// for buffered modules, each class's stationary chain with its
+    /// admission rate and mean level. `None` when a buffered class
+    /// cannot carry its share of `x`.
+    fn assemble_chains(
         &self,
         x: f64,
-        eta: f64,
         r_bar: f64,
-        top: usize,
-    ) -> Option<(f64, Vec<f64>)> {
-        let nd = self.non_direct();
-        let unbuffered = self.depth == 0;
-        let mut state = vec![0.0; self.dim()];
-
+        busy_cap: f64,
+        scratch: &mut Candidate,
+    ) -> Option<()> {
         // Thinking masses: the routing shares φ_d(s̄) must reproduce
         // themselves, which pins the mean sojourn s̄ by bisection on
         // H(s̄) = (n − U(s̄))/X − s̄ over the same clamp range the
-        // vector field uses.
+        // vector field uses. Only non-direct classes hold thinking
+        // mass, so when every class is direct s̄ is never read.
         let phi_at = |sojourn: f64| {
             let norm: f64 = self.thinkers.iter().map(|t| t.count / (t.think + sojourn)).sum();
             move |t: &ThinkClass| t.count / (t.think + sojourn) / norm
@@ -480,42 +509,76 @@ impl FluidModel {
             self.thinkers.iter().map(|t| x * phi(t) * t.think).sum::<f64>()
         };
         let h_at = |sojourn: f64| (self.n - thinking_at(sojourn)) / x - sojourn;
-        let mut sojourn = if h_at(1.0) <= 0.0 {
+        let mut sojourn = if self.non_direct == 0 || h_at(1.0) <= 0.0 {
             1.0
         } else if h_at(1e12) >= 0.0 {
             1e12
         } else {
-            let (mut lo, mut hi) = (1.0, 1e12);
-            for _ in 0..200 {
-                let mid = 0.5 * (lo + hi);
-                if h_at(mid) > 0.0 {
-                    lo = mid;
-                } else {
-                    hi = mid;
-                }
-            }
+            let (lo, hi) = bisect(1.0, 1e12, 200, |mid| h_at(mid) > 0.0);
             0.5 * (lo + hi)
         };
         if !sojourn.is_finite() {
             sojourn = 1.0;
         }
         let phi = phi_at(sojourn);
-        let mut mass = 0.0;
+        scratch.thinking = 0.0;
         let mut slot = 0;
         for t in &self.thinkers {
             if !t.direct {
-                state[slot] = x * phi(t) * t.think;
-                mass += state[slot];
+                scratch.state[slot] = x * phi(t) * t.think;
+                scratch.thinking += scratch.state[slot];
                 slot += 1;
             }
         }
 
-        // Per-class chains pinned by flux balance, waiting pools from
-        // the grant rate.
+        // Buffered chains pinned by flux balance.
+        if self.depth > 0 {
+            for (c, class) in self.modules.iter().enumerate() {
+                let busy_target = x * class.share / class.count * r_bar;
+                if busy_target >= busy_cap {
+                    return None;
+                }
+                let (lo, hi) = bisect(0.0, r_bar, 100, |rho| {
+                    truncated_geometric(rho, &mut scratch.pi);
+                    1.0 - scratch.pi[0] < busy_target
+                });
+                let rho = 0.5 * (lo + hi);
+                let off = self.chain_offset(c);
+                let chain = &mut scratch.state[off..off + self.chain_len];
+                truncated_geometric(rho, chain);
+                let mut level = 0.0;
+                for (l, pi) in chain.iter().enumerate() {
+                    level += l as f64 * pi;
+                }
+                scratch.chains[c] = (rho * self.mu, level);
+            }
+        }
+        Some(())
+    }
+
+    /// Completes the candidate fixed point whose `x` half
+    /// [`Self::assemble_chains`] left in `scratch`, at return-grant
+    /// rate `eta`: `None` when infeasible (a class would need
+    /// `λ > η`, or an unbuffered module has no idle fraction left).
+    /// Returns the total mass the packed state accounts for.
+    fn assemble_equilibrium(
+        &self,
+        x: f64,
+        eta: f64,
+        r_bar: f64,
+        scratch: &mut Candidate,
+    ) -> Option<f64> {
+        let nd = self.non_direct;
+        let unbuffered = self.depth == 0;
+        let state = &mut scratch.state;
+        let mut mass = scratch.thinking;
+
+        // Unbuffered chains from the grant rate, waiting pools from the
+        // admission rates.
         for (c, class) in self.modules.iter().enumerate() {
-            let flux = x * class.share / class.count;
-            let off = self.chain_offset(c);
             let (lambda, level) = if unbuffered {
+                let flux = x * class.share / class.count;
+                let off = self.chain_offset(c);
                 let serving = flux * r_bar;
                 let holding = flux / eta;
                 let empty = 1.0 - serving - holding;
@@ -527,27 +590,7 @@ impl FluidModel {
                 state[off + 2] = holding;
                 (flux / empty, serving + holding)
             } else {
-                let busy_target = flux * r_bar;
-                if busy_target >= 1.0 - truncated_geometric(r_bar, self.chain_len)[0] {
-                    return None;
-                }
-                let (mut lo, mut hi) = (0.0, r_bar);
-                for _ in 0..100 {
-                    let rho = 0.5 * (lo + hi);
-                    if 1.0 - truncated_geometric(rho, self.chain_len)[0] < busy_target {
-                        lo = rho;
-                    } else {
-                        hi = rho;
-                    }
-                }
-                let rho = 0.5 * (lo + hi);
-                let pi = truncated_geometric(rho, self.chain_len);
-                let mut level = 0.0;
-                for l in 0..=top {
-                    state[off + l] = pi[l];
-                    level += l as f64 * pi[l];
-                }
-                (rho * self.mu, level)
+                scratch.chains[c]
             };
             if lambda > eta * (1.0 + 1e-9) {
                 return None;
@@ -556,17 +599,17 @@ impl FluidModel {
             mass += state[nd + c] + class.count * level;
         }
         if !unbuffered {
-            state[self.u_r_index()] = x / eta;
-            mass += state[self.u_r_index()];
+            state[self.u_r_index] = x / eta;
+            mass += state[self.u_r_index];
         }
-        Some((mass, state))
+        Some(mass)
     }
 
     /// The fluid vector field `dy = f(y)`; returns the instantaneous
     /// fluxes the outputs are read from.
     fn derivative(&self, y: &[f64], dy: &mut [f64]) -> Flux {
         dy.fill(0.0);
-        let nd = self.non_direct();
+        let nd = self.non_direct;
         let unbuffered = self.depth == 0;
         let top = self.chain_len - 1;
 
@@ -588,7 +631,7 @@ impl FluidModel {
                 .map(|(c, class)| class.count * y[self.chain_offset(c) + 2])
                 .sum::<f64>()
         } else {
-            y[self.u_r_index()].max(0.0)
+            y[self.u_r_index].max(0.0)
         };
         demand += returning;
         let eta = if demand > DEMAND_FLOOR { demand.min(1.0) / demand } else { 0.0 };
@@ -619,7 +662,7 @@ impl FluidModel {
             }
         }
         if !unbuffered {
-            dy[self.u_r_index()] = completions - returns;
+            dy[self.u_r_index] = completions - returns;
         }
 
         // Route returns back to think classes in proportion to each
@@ -653,7 +696,7 @@ impl FluidModel {
     /// Projects the state back onto the physical simplex after a step:
     /// chain fractions into `[0, 1]` summing to 1, pools non-negative.
     fn project(&self, y: &mut [f64]) {
-        for v in &mut y[..self.pool_len()] {
+        for v in &mut y[..self.pool_len] {
             if *v < 0.0 {
                 *v = 0.0;
             }
@@ -734,7 +777,7 @@ impl FluidModel {
     }
 
     fn chain_residual(&self, dy: &[f64]) -> f64 {
-        dy[self.pool_len()..].iter().fold(0.0_f64, |acc, d| acc.max(d.abs()))
+        dy[self.pool_len..].iter().fold(0.0_f64, |acc, d| acc.max(d.abs()))
     }
 
     fn extract(
@@ -745,14 +788,14 @@ impl FluidModel {
         converged: bool,
         residual: f64,
     ) -> FluidSolution {
-        let nd = self.non_direct();
+        let nd = self.non_direct;
         let m_total: f64 = self.modules.iter().map(|c| c.count).sum();
         let unbuffered = self.depth == 0;
         let top = self.chain_len - 1;
 
         let thinking_mass: f64 = y[..nd].iter().sum();
         let waiting_mass: f64 = (0..self.modules.len()).map(|c| y[nd + c]).sum();
-        let u_r = y[self.u_r_index()];
+        let u_r = y[self.u_r_index];
 
         let mut mean_level = 0.0;
         let mut mean_input = 0.0;
@@ -867,12 +910,11 @@ impl FluidModel {
     }
 }
 
-/// The stationary distribution of a birth–death chain with constant
-/// birth/death ratio `rho` truncated to `len` levels (a truncated
-/// geometric), computed overflow-safely by normalizing from the
-/// dominant end.
-fn truncated_geometric(rho: f64, len: usize) -> Vec<f64> {
-    let mut pi = vec![0.0; len];
+/// Writes into `pi` the stationary distribution of a birth–death
+/// chain with constant birth/death ratio `rho` truncated to
+/// `pi.len()` levels (a truncated geometric), computed overflow-safely
+/// by normalizing from the dominant end.
+fn truncated_geometric(rho: f64, pi: &mut [f64]) {
     if rho <= 1.0 {
         let mut term = 1.0;
         for p in pi.iter_mut() {
@@ -890,7 +932,29 @@ fn truncated_geometric(rho: f64, len: usize) -> Vec<f64> {
     for p in pi.iter_mut() {
         *p /= total;
     }
-    pi
+}
+
+/// Bisects the bracket `[lo, hi]` for at most `iterations` halvings,
+/// moving `lo` up to the midpoint when `raise(mid)` and `hi` down
+/// otherwise, and returns the final bracket. It stops early once a
+/// halving leaves the bracket's bits unchanged: the next halving would
+/// then probe the same midpoint, so every remaining one is an exact
+/// repeat and the result is the one the full count gives.
+fn bisect(
+    mut lo: f64,
+    mut hi: f64,
+    iterations: u32,
+    mut raise: impl FnMut(f64) -> bool,
+) -> (f64, f64) {
+    for _ in 0..iterations {
+        let mid = 0.5 * (lo + hi);
+        let end = if raise(mid) { &mut lo } else { &mut hi };
+        if end.to_bits() == mid.to_bits() {
+            break;
+        }
+        *end = mid;
+    }
+    (lo, hi)
 }
 
 /// Groups modules into classes by reference share.

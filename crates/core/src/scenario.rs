@@ -2056,6 +2056,22 @@ pub struct SweepRecord {
     pub result: Result<Evaluation, CoreError>,
 }
 
+impl SweepRecord {
+    /// The evaluation a memo cache may store for this record. Only an
+    /// evaluator's own successful result is canonical: screened
+    /// stand-ins, replays, degraded fallbacks and failures are never
+    /// cached. (A sweep also never caches prior-seeded pairs; nothing
+    /// in the record marks those, so it simply holds no key for them.)
+    pub fn cacheable(&self) -> Option<&Evaluation> {
+        match &self.result {
+            Ok(evaluation) if self.status == UnitStatus::Ok && !self.screened && !self.cached => {
+                Some(evaluation)
+            }
+            _ => None,
+        }
+    }
+}
+
 /// The opt-in fluid screening pre-pass of [`run_sweep_screened`]
 /// (`busnet sweep --screen fluid`).
 ///
@@ -2615,14 +2631,10 @@ pub fn run_sweep_with(
                     }
                 }
             }
-            // Only the evaluator's own results are canonical: degraded
-            // fallbacks must never masquerade as cached evaluations.
-            if record.status == UnitStatus::Ok {
-                if let (Some(cache), Some(key), Ok(evaluation)) =
-                    (options.cache, cache_keys[p].as_ref(), &record.result)
-                {
-                    cache.insert(key, evaluation);
-                }
+            if let (Some(cache), Some(key), Some(evaluation)) =
+                (options.cache, cache_keys[p].as_ref(), record.cacheable())
+            {
+                cache.insert(key, evaluation);
             }
             if let Some(dupes) = aliases.get(&p) {
                 for &a in dupes {

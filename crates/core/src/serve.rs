@@ -44,9 +44,10 @@
 //! then the memo cache (immediate `cached` reply), then enqueues the
 //! point — or replies `overloaded` when `queue_depth` points are
 //! already waiting. Completion resolves the in-flight entry *after*
-//! `run_sweep_with` has inserted the result into the cache, so a
-//! racing duplicate always lands on one side or the other — never
-//! evaluates twice.
+//! inserting the result into the cache, so a racing duplicate always
+//! lands on one side or the other — never evaluates twice. That
+//! `submit` lookup is the only cache lookup a request pays: batches
+//! run their sweep without a cache.
 
 use std::collections::HashMap;
 use std::io::Write;
@@ -524,11 +525,15 @@ impl Shared {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Delivers one completed record to every waiter of its point.
-    /// Runs *after* `run_sweep_with` cached the result, so a duplicate
-    /// arriving during resolution hits the cache instead.
+    /// Caches one completed record, then delivers it to every waiter
+    /// of its point: a duplicate arriving during resolution hits the
+    /// cache instead. The broker's own lookup in [`Broker::submit`] is
+    /// the only one a request pays, so the batch sweep runs uncached.
     fn resolve(&self, fingerprint: &str, record: &SweepRecord) {
         let key = cache_key(fingerprint, &record.scenario);
+        if let Some(evaluation) = record.cacheable() {
+            self.cache.insert(&key, evaluation);
+        }
         let waiters = self.lock_state().inflight.remove(&key).unwrap_or_default();
         if !record.cached && !record.screened && record.result.is_ok() {
             self.evaluated.fetch_add(1, Ordering::Relaxed);
@@ -769,11 +774,7 @@ fn run_batch(shared: &Shared, members: &[Pending]) {
     let fingerprint = evaluator.config_fingerprint();
     let scenarios: Vec<Scenario> = members.iter().map(|p| p.scenario.clone()).collect();
     let refs: Vec<&dyn Evaluator> = vec![evaluator.as_ref()];
-    let options = SweepOptions {
-        cache: Some(shared.cache.as_ref()),
-        supervise: Some(&supervisor),
-        ..SweepOptions::new(shared.mode)
-    };
+    let options = SweepOptions { supervise: Some(&supervisor), ..SweepOptions::new(shared.mode) };
     run_sweep_with(&scenarios, &refs, &options, |_, _, record| {
         shared.resolve(&fingerprint, record);
     });
@@ -888,6 +889,47 @@ mod tests {
         let cached = lines.iter().filter(|l| l.contains("\"status\":\"cached\"")).count();
         assert_eq!(fresh, 1, "exactly one request caused the evaluation");
         assert_eq!(cached as u64, duplicates - 1);
+    }
+
+    /// Each request that is not coalesced looks the cache up exactly
+    /// once: on a stream that sheds nothing, cache hits plus misses
+    /// equal the requests minus the coalesced ones, and only a point's
+    /// first arrival misses.
+    #[test]
+    fn broker_looks_up_the_cache_once_per_request() {
+        let cache = Arc::new(EvalCache::new());
+        let broker = Broker::new(
+            Arc::clone(&cache),
+            BrokerConfig { queue_depth: 1 << 20, ..BrokerConfig::default() },
+        );
+        let (sink, buf) = sink_pair();
+        let (unique, per_phase) = (40u64, 300u64);
+        let submit = |i: u64| {
+            let req = eval_request(&format!(
+                r#"{{"id":{i},"scenario":{{"n":{},"m":16,"r":8,"buffering":"buffered"}},"evaluator":"pfqn"}}"#,
+                1 + (i * 7) % unique
+            ));
+            broker.submit(req, &sink);
+        };
+        // Phase one races repeats against in-flight evaluations; once
+        // every reply is out, phase two repeats resolved points only.
+        (0..per_phase).for_each(submit);
+        let replies = || String::from_utf8(buf.0.lock().unwrap().clone()).unwrap().lines().count();
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+        while replies() < per_phase as usize {
+            assert!(std::time::Instant::now() < deadline, "phase one replies never arrived");
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        (per_phase..2 * per_phase).for_each(submit);
+        broker.drain();
+        let counters = broker.counters();
+        let stats = cache.stats();
+        assert_eq!(counters.overloaded, 0, "the stream must not shed");
+        assert_eq!(stats.hits + stats.misses, counters.requests - counters.coalesced);
+        assert_eq!(stats.misses, unique, "only a point's first arrival misses");
+        assert_eq!(stats.hits, counters.cache_replies);
+        assert_eq!(counters.evaluated, unique);
+        assert_eq!(replies() as u64, 2 * per_phase);
     }
 
     #[test]

@@ -1560,7 +1560,8 @@ fn run_bench_smoke() -> ExitCode {
 
     // MMPP slice: phase boundaries add O(cycles / dwell) work, not
     // per-cycle work, so bursty event throughput (events/second) must
-    // stay within 15% of the stationary baseline on the same grid.
+    // stay within 15% of the stationary baseline on the same grid. The
+    // gate reads the median of interleaved per-pair ratios.
     let mmpp_slice = |workloads: Vec<Workload>| -> (f64, u64) {
         let slice = ScenarioGrid::new()
             .n_values([8])
@@ -1585,17 +1586,28 @@ fn run_bench_smoke() -> ExitCode {
         let records = run_sweep(&slice, &evaluators, ExecutionMode::Serial, |_, _, _| {});
         (start.elapsed().as_secs_f64(), events(&records))
     };
-    let (stationary_secs, stationary_events) = mmpp_slice(vec![Workload::Uniform]);
-    let (bursty_secs, bursty_events) =
-        mmpp_slice(vec![Workload::on_off_burst(1.0, 0.1, 0.9, 500, None).expect("valid burst")]);
-    let stationary_eps = stationary_events as f64 / stationary_secs;
-    let bursty_eps = bursty_events as f64 / bursty_secs;
-    let mmpp_ratio = bursty_eps / stationary_eps;
+    let burst = Workload::on_off_burst(1.0, 0.1, 0.9, 500, None).expect("valid burst");
+    let (mut stationary_events, mut bursty_events) = (0, 0);
+    let mmpp_ratios = interleaved_ratios(
+        || {
+            let (secs, events) = mmpp_slice(vec![Workload::Uniform]);
+            stationary_events = events;
+            events as f64 / secs
+        },
+        || {
+            let (secs, events) = mmpp_slice(vec![burst.clone()]);
+            bursty_events = events;
+            events as f64 / secs
+        },
+    );
+    let mmpp_ratio = mmpp_ratios[mmpp_ratios.len() / 2];
     println!(
-        "# smoke mmpp: stationary {stationary_events} events ({:.1}M ev/s), bursty \
-         {bursty_events} events ({:.1}M ev/s) -> {mmpp_ratio:.2}x",
-        stationary_eps / 1e6,
-        bursty_eps / 1e6
+        "# smoke mmpp: stationary {stationary_events} events, bursty {bursty_events} events, \
+         {} interleaved pairs -> median {mmpp_ratio:.2}x event throughput (pair range \
+         {:.2}x..{:.2}x)",
+        mmpp_ratios.len(),
+        mmpp_ratios[0],
+        mmpp_ratios[mmpp_ratios.len() - 1],
     );
     if mmpp_ratio < 0.85 {
         eprintln!(
@@ -1606,8 +1618,8 @@ fn run_bench_smoke() -> ExitCode {
 
     // Supervision slice: the per-unit catch_unwind + retry/budget
     // plumbing must be bit-invisible in the results and cost <= 5%
-    // event throughput on the Table 3-4 smoke grid. Best-of-3 timings
-    // absorb scheduler noise.
+    // event throughput on the Table 3-4 smoke grid, read as the median
+    // of interleaved per-pair time ratios.
     let sup_grid = ScenarioGrid::new()
         .n_values([8])
         .m_values([8, 16])
@@ -1632,26 +1644,39 @@ fn run_bench_smoke() -> ExitCode {
             supervise: supervise.then_some(&supervisor),
             ..SweepOptions::new(ExecutionMode::Serial)
         };
-        let mut best = f64::INFINITY;
-        let mut records = Vec::new();
-        for _ in 0..3 {
-            let start = Instant::now();
-            records = run_sweep_with(&sup_grid, &sup_evaluators, &options, |_, _, _| {});
-            best = best.min(start.elapsed().as_secs_f64());
-        }
-        (best, records)
+        let start = Instant::now();
+        let records = run_sweep_with(&sup_grid, &sup_evaluators, &options, |_, _, _| {});
+        (start.elapsed().as_secs_f64(), records)
     };
-    let (bare_secs, bare_records) = time_supervised(false);
-    let (sup_secs, sup_records) = time_supervised(true);
+    let (mut bare_records, mut sup_records) = (Vec::new(), Vec::new());
+    let (mut bare_total, mut sup_total) = (0.0, 0.0);
+    let ratios = interleaved_ratios(
+        || {
+            let (secs, records) = time_supervised(false);
+            (bare_records, bare_total) = (records, bare_total + secs);
+            secs
+        },
+        || {
+            let (secs, records) = time_supervised(true);
+            (sup_records, sup_total) = (records, sup_total + secs);
+            secs
+        },
+    );
     let sup_identical = bare_records
         .iter()
         .zip(&sup_records)
         .all(|(a, b)| matches!((&a.result, &b.result), (Ok(x), Ok(y)) if x == y));
-    let sup_overhead = sup_secs / bare_secs - 1.0;
+    let sup_overhead = ratios[ratios.len() / 2] - 1.0;
+    let pairs = ratios.len() as f64;
     println!(
-        "# smoke supervised_vs_bare: bare {bare_secs:.3}s, supervised {sup_secs:.3}s -> \
-         {:.1}% overhead, bit-identical: {sup_identical}",
-        sup_overhead * 100.0
+        "# smoke supervised_vs_bare: bare {:.3}s, supervised {:.3}s (mean of {pairs} \
+         interleaved pairs) -> median {:.1}% overhead (pair range {:.1}%..{:.1}%), \
+         bit-identical: {sup_identical}",
+        bare_total / pairs,
+        sup_total / pairs,
+        sup_overhead * 100.0,
+        (ratios[0] - 1.0) * 100.0,
+        (ratios[ratios.len() - 1] - 1.0) * 100.0,
     );
     if !sup_identical {
         eprintln!("# smoke: supervised sweep was not bit-identical to the bare sweep");
@@ -1665,6 +1690,28 @@ fn run_bench_smoke() -> ExitCode {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
+}
+
+/// Measures `a` and `b` in interleaved pairs, flipping which runs first
+/// every pair, and returns the per-pair ratios `b / a`, sorted; the
+/// count is odd, so the median is the middle entry. Noise or drift
+/// that hits a minority of the pairs cannot move the median far, while
+/// it can swing a one-sided best-of-N of either side.
+fn interleaved_ratios(mut a: impl FnMut() -> f64, mut b: impl FnMut() -> f64) -> Vec<f64> {
+    const PAIRS: usize = 21;
+    let mut ratios: Vec<f64> = (0..PAIRS)
+        .map(|pair| {
+            if pair % 2 == 0 {
+                let first = a();
+                b() / first
+            } else {
+                let second = b();
+                second / a()
+            }
+        })
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    ratios
 }
 
 /// Times `ops` schedule/pop churn cycles on an event queue, returning

@@ -230,3 +230,62 @@ proptest! {
         prop_assert!(solution.waiting_mass >= -1e-9);
     }
 }
+
+/// The golden fluid points: a label, the scenario, and the expected
+/// `to_bits` (hex) of `ebw throughput mean_input_queue residual
+/// thinking_mass waiting_mass` followed by the RK4 step count.
+fn golden_points() -> Vec<(&'static str, Scenario, &'static str)> {
+    let point = |n: u32, m: u32, p: f64, buffering: Buffering, workload: Workload| {
+        let params = SystemParams::new(n, m, 8).unwrap().with_request_probability(p).unwrap();
+        Scenario::new(params).with_buffering(buffering).with_workload(workload)
+    };
+    let uniform = || Workload::Uniform;
+    let hot = || Workload::hot_spot(0.2, 0).unwrap();
+    let mixed = |n: u32| {
+        let probs: Vec<f64> = (0..n).map(|i| if i % 2 == 0 { 1.0 } else { 0.2 }).collect();
+        Workload::heterogeneous(probs).unwrap()
+    };
+    let burst = || Workload::on_off_burst(1.0, 0.2, 0.8, 100, Some((0.2, 0))).unwrap();
+    let (u, b, d4, inf) =
+        (Buffering::Unbuffered, Buffering::Buffered, Buffering::Depth(4), Buffering::Infinite);
+    let million = 1_000_000;
+    vec![
+        ("u-p0.2-uniform-n8", point(8, 8, 0.2, u, uniform()), "3ff97d1ade0eeb32 3fc464157e7255c2 0000000000000000 0000000000000000 40197d1ade0eeb32 3fc8d7e2cc1d95fe 200"),
+        ("u-p1-hot-n8", point(8, 4, 1.0, u, hot()), "4003fffffff5b731 3fcfffffffef8b81 0000000000000000 3d8acb6000000000 8000000000000000 4017000000047be1 200"),
+        ("u-p1-uniform-n1e6", point(million, million, 1.0, u, uniform()), "4013ffffffffffe6 3fdfffffffffffd6 0000000000000000 3c31cf8000000000 8000000000000000 4122dc606658846f 200"),
+        ("u-p0.2-uniform-n1", point(1, 1, 0.2, u, uniform()), "3fc97d1ade0eeb32 3f9464157e7255c2 0000000000000000 0000000000000000 3fe97d1ade0eeb32 3f98d7e2cc1d95fe 200"),
+        ("b-p0.2-mixed-n8", point(8, 16, 0.2, b, mixed(8)), "40110828e98fa09f 3fdb404175b29a98 3fa3c320b5ea3910 3c50000000000000 4008dbe36a985fdd 3fdc58561c211f9c 200"),
+        ("b-p1-uniform-n1", point(1, 1, 1.0, b, uniform()), "3fe72456730f9646 3fb283785c0c7838 3fd0274cc6e3a1b8 3c78000000000000 8000000000000000 3fb8c391a8013f22 200"),
+        ("b-p0.2-uniform-n1e6", point(million, million, 0.2, b, uniform()), "4014000000009c64 3fe0000000007d1d 3db19791fea80000 3c31eb8000000000 4033ffffffe7d335 411e844ffffe051f 200"),
+        ("d4-p1-uniform-n1e6", point(million, million, 1.0, d4, uniform()), "4013ffffffffec23 3fdfffffffffe038 3db197a588500000 3c31ca8000000000 8000000000000000 411e8477fffe0573 200"),
+        ("d4-p0.2-hot-n1e6", point(million, 64, 0.2, d4, hot()), "4013fffffffdd11a 3fdffffffffc81c3 3f9ef8a01d67808a 3dada7a380000000 4033ffffffe93774 412e8444737fe856 200"),
+        ("d4-p1-mixed-n8", point(8, 8, 1.0, d4, mixed(8)), "400c6d7a82374b51 3fd6bdfb9b5f6f74 3fc7e59f67637e84 3c50000000000000 40079cfdefd0c66c 3fd6d3ba6d90e79c 200"),
+        ("d4-p1-mmpp-n8", point(8, 8, 1.0, d4, burst()), "40065a42ca648adc 3fd1e1cf08506f16 3fd06bc2c065da73 3c70000000000000 4008de9042bf1474 3fd4bd209c04a112 400"),
+        ("inf-p1-uniform-n8", point(8, 2, 1.0, inf, uniform()), "40011d5caccd8530 3fcb622de148d51a 400762170b8439a0 3c60000000000000 8000000000000000 3fcd4981a3e94df2 200"),
+        ("inf-p0.2-hot-n8", point(8, 8, 0.2, inf, hot()), "3ff888128fbdc206 3fc3a00ed9649b38 3fa55e7dac78af58 3c7c000000000000 401888128fbdc204 3fc3a02d0accebf0 200"),
+        ("inf-p1-mmpp-n1e6", point(million, million, 1.0, inf, burst()), "4013fffffffefad4 3fdffffffffe5e22 3ebad82b3e24ede0 3d9297af00000000 4023ffffffe755ae 4126e347ccc7e98f 400"),
+        ("u-p0.2-mmpp-n8", point(8, 4, 0.2, u, burst()), "4000547ab16edde4 3fca20c44f17c96e 0000000000000000 3d8acb6000000000 400951eac5d00933 4007fba6cdb2709d 400"),
+        ("inf-p0.2-mixed-n1", point(1, 4, 0.2, inf, mixed(1)), "3fec693177a31064 3fb6ba8df94f4050 3f9c12728e593ae0 3c50000000000000 8000000000000000 3fb75e8faddd825c 200"),
+    ]
+}
+
+/// The fluid solver's outputs are pinned to the bit across the
+/// buffering, request-probability, workload and size axes: the
+/// analytic warm start and the RK4 integrator may be restructured for
+/// speed, but never in a way that moves a single output bit.
+#[test]
+fn fluid_solution_bits_are_pinned() {
+    let mut mismatches = Vec::new();
+    for (label, scenario, expected) in golden_points() {
+        let s = FluidEval::default().solve(&scenario).expect("in fluid domain");
+        let fields =
+            [s.ebw, s.throughput, s.mean_input_queue, s.residual, s.thinking_mass, s.waiting_mass];
+        let mut got: Vec<String> = fields.iter().map(|v| format!("{:016x}", v.to_bits())).collect();
+        got.push(s.steps.to_string());
+        let got = got.join(" ");
+        if got != expected {
+            mismatches.push(format!("{label}: got {got}\n{label}: pin {expected}"));
+        }
+    }
+    assert!(mismatches.is_empty(), "fluid outputs moved:\n{}", mismatches.join("\n"));
+}
