@@ -256,13 +256,16 @@ mod tests {
             prop_assert!(c < 5);
             prop_assert!((0.5..0.75).contains(&f));
         }
+    }
 
-        /// Booleans draw from the ANY strategy.
-        #[test]
-        fn bools_draw(flag in crate::bool::ANY) {
-            prop_assert!(flag || !flag);
-            prop_assert_eq!(flag as u8 <= 1, true);
-        }
+    /// The ANY strategy draws both booleans, roughly evenly.
+    #[test]
+    fn bools_draw() {
+        use crate::strategy::Strategy;
+        use crate::test_runner::TestRng;
+        let mut rng = TestRng::from_name("bools_draw");
+        let trues = (0..256).filter(|_| crate::bool::ANY.pick(&mut rng)).count();
+        assert!((64..=192).contains(&trues), "{trues} of 256 draws were true");
     }
 
     #[test]

@@ -32,7 +32,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::json::Json;
 use crate::metrics::Metrics;
-use crate::params::{BusPolicy, Workload};
+use crate::params::Workload;
 use crate::scenario::{Evaluation, HotModuleSummary, OccupancySummary, Scenario};
 use crate::sim::service::ServiceTime;
 use busnet_sim::counters::{SimWindow, WindowSeries};
@@ -112,10 +112,7 @@ pub fn workload_fingerprint(workload: &Workload) -> String {
 /// identically, as the engines treat them identically).
 pub fn scenario_fingerprint(scenario: &Scenario) -> String {
     let p = &scenario.params;
-    let policy = match scenario.policy {
-        BusPolicy::ProcessorPriority => "proc",
-        BusPolicy::MemoryPriority => "mem",
-    };
+    let policy = scenario.policy.name();
     let service = match scenario.service() {
         ServiceTime::Constant(c) => format!("const:{c}"),
         ServiceTime::Geometric { mean } => format!("geom:{}", f64_hex(mean)),
@@ -724,7 +721,7 @@ fn parse_record(line: &str) -> Option<(String, CachedEvaluation)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::{ArbitrationKind, Buffering, SystemParams};
+    use crate::params::{ArbitrationKind, Buffering, BusPolicy, SystemParams};
     use crate::scenario::{BusSimEval, Evaluator, SimBudget};
 
     fn scenario() -> Scenario {

@@ -7,6 +7,10 @@
 //! rejected: cache keys and protocol identifiers are quote-free ASCII
 //! by construction, and rejecting a request is always safe (the client
 //! gets a structured error reply).
+//!
+//! The one public item, [`escape`], goes the other way: it renders free
+//! text (error messages) as the body of a JSON string for the serve
+//! replies and the sweep's JSON rows.
 
 /// The JSON subset the journal and the serve protocol use.
 #[derive(Clone, Debug, PartialEq)]
@@ -219,9 +223,39 @@ impl<'a> Parser<'a> {
     }
 }
 
+/// Escapes `s` for embedding between the quotes of a JSON string:
+/// `"` and `\` are backslash-escaped, `\n`, `\r` and `\t` use their
+/// short forms, and every other control character becomes `\u00XX`.
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn escape_covers_quotes_backslashes_and_controls() {
+        assert_eq!(escape("plain text"), "plain text");
+        assert_eq!(escape("a\"b"), "a\\\"b");
+        assert_eq!(escape("a\\b"), "a\\\\b");
+        assert_eq!(escape("1\n2\r3\t4"), "1\\n2\\r3\\t4");
+        assert_eq!(escape("x\u{1}y"), "x\\u0001y");
+        // Non-ASCII text passes through untouched.
+        assert_eq!(escape("k=∞"), "k=∞");
+    }
 
     #[test]
     fn parses_the_journal_subset() {

@@ -23,6 +23,35 @@ pub enum BusPolicy {
     MemoryPriority,
 }
 
+impl BusPolicy {
+    /// Stable textual id (`proc` / `mem`), shared by sweep rows, serve
+    /// replies, scenario labels, and cache keys.
+    pub fn name(self) -> &'static str {
+        match self {
+            BusPolicy::ProcessorPriority => "proc",
+            BusPolicy::MemoryPriority => "mem",
+        }
+    }
+
+    /// Parses a textual id as produced by [`BusPolicy::name`].
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use busnet_core::params::BusPolicy;
+    ///
+    /// assert_eq!(BusPolicy::from_name("mem"), Some(BusPolicy::MemoryPriority));
+    /// assert_eq!(BusPolicy::from_name(BusPolicy::ProcessorPriority.name()),
+    ///            Some(BusPolicy::ProcessorPriority));
+    /// assert_eq!(BusPolicy::from_name("both"), None);
+    /// ```
+    pub fn from_name(name: &str) -> Option<BusPolicy> {
+        [BusPolicy::ProcessorPriority, BusPolicy::MemoryPriority]
+            .into_iter()
+            .find(|p| p.name() == name)
+    }
+}
+
 /// Memory-module buffering scheme (paper §6, generalized to depth `k`).
 ///
 /// The paper studies two schemes: no buffers (§§2–5) and one-deep

@@ -40,9 +40,8 @@ use busnet_sim::counters::WindowSeries;
 use busnet_sim::event::EngineKind;
 use busnet_sim::exec::{catch_panic, parallel_consume, parallel_map, ExecutionMode};
 use busnet_sim::fault::FaultPlan;
-use busnet_sim::replication::ReplicationSummary;
 use busnet_sim::seeds::SeedSequence;
-use busnet_sim::stats::jain_fairness_index;
+use busnet_sim::stats::{jain_fairness_index, RunningStats};
 
 use crate::analytic::approx::{ApproxModel, ApproxVariant};
 use crate::analytic::crossbar::crossbar_ebw_exact;
@@ -192,10 +191,7 @@ impl Scenario {
     /// `n=8 m=16 r=8 p=1 proc unbuf` (non-default arbitration kinds
     /// append their name).
     pub fn label(&self) -> String {
-        let policy = match self.policy {
-            BusPolicy::ProcessorPriority => "proc",
-            BusPolicy::MemoryPriority => "mem",
-        };
+        let policy = self.policy.name();
         let buffering = match self.buffering {
             Buffering::Unbuffered => "unbuf".to_owned(),
             Buffering::Buffered => "buf".to_owned(),
@@ -995,8 +991,10 @@ impl Default for SimBudget {
     }
 }
 
-/// The cycle-accurate single-bus simulator behind the replication
-/// driver. Supports every scenario.
+/// The single-bus simulator as an evaluator: independent replications
+/// (or one adaptive run) of the cycle or event engine, aggregated into
+/// an EBW estimate with its 95% interval. Supports every single-bus
+/// scenario.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct BusSimEval {
     /// Replication budget and execution mode.
@@ -1035,7 +1033,7 @@ impl BusSimEval {
     /// [`Evaluation`]; deterministic in its inputs, so serial and
     /// work-stealing execution produce bit-identical results.
     fn aggregate_reports(&self, scenario: &Scenario, reports: Vec<SimReport>) -> Evaluation {
-        let summary = ReplicationSummary::from_values(reports.iter().map(|r| r.ebw()).collect());
+        let ebw: RunningStats = reports.iter().map(|r| r.ebw()).collect();
         let n = scenario.params.n() as usize;
         let measured_total: u64 = reports.iter().map(|r| r.measured_cycles).sum();
         let rc = f64::from(scenario.params.processor_cycle());
@@ -1097,9 +1095,9 @@ impl BusSimEval {
         Evaluation {
             evaluator: self.name(),
             scenario: scenario.clone(),
-            metrics: Metrics::from_ebw(scenario.params, summary.mean()),
-            half_width_95: summary.half_width_95(),
-            replications: summary.replications() as u32,
+            metrics: Metrics::from_ebw(scenario.params, ebw.mean()),
+            half_width_95: ebw.half_width_95(),
+            replications: reports.len() as u32,
             per_processor_ebw: Some(per_processor_ebw),
             occupancy: Some(occupancy),
             module_references: Some(module_references),
@@ -2838,6 +2836,44 @@ mod tests {
         let parallel =
             BusSimEval::new(budget.with_mode(ExecutionMode::Parallel)).evaluate(&s).unwrap();
         assert_eq!(serial, parallel);
+    }
+
+    #[test]
+    fn sim_evaluator_estimate_is_reproducible() {
+        let run = |master_seed| {
+            let budget = SimBudget {
+                replications: 3,
+                warmup: 500,
+                measure: 5_000,
+                master_seed,
+                ..SimBudget::paper()
+            };
+            BusSimEval::new(budget).evaluate(&Scenario::new(params(4, 4, 4))).unwrap()
+        };
+        let a = run(1);
+        assert_eq!(a, run(1));
+        assert_ne!(a.ebw(), run(2).ebw());
+    }
+
+    #[test]
+    fn sim_evaluator_interval_tightens_with_more_cycles() {
+        let s = Scenario::new(params(8, 8, 8));
+        let half_width = |warmup, measure| {
+            let budget = SimBudget { replications: 6, warmup, measure, ..SimBudget::paper() };
+            BusSimEval::new(budget).evaluate(&s).unwrap().half_width_95
+        };
+        let short = half_width(200, 2_000);
+        let long = half_width(2_000, 50_000);
+        assert!(long < short, "long {long} vs short {short}");
+    }
+
+    #[test]
+    fn sim_evaluator_covers_its_own_mean() {
+        let budget =
+            SimBudget { replications: 4, warmup: 500, measure: 5_000, ..SimBudget::paper() };
+        let e = BusSimEval::new(budget).evaluate(&Scenario::new(params(4, 8, 6))).unwrap();
+        assert!(e.covers(e.ebw(), 0.0));
+        assert!(!e.covers(e.ebw() + 1.0, 0.5));
     }
 
     #[test]

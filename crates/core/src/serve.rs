@@ -60,7 +60,7 @@ use busnet_sim::exec::{ExecPool, ExecutionMode};
 use busnet_sim::sink::LineSink;
 
 use crate::cache::{cache_key, EvalCache};
-use crate::json::Json;
+use crate::json::{self, Json};
 use crate::params::{ArbitrationKind, Buffering, BusPolicy, SystemParams, Workload};
 use crate::scenario::{
     evaluator_calls, run_sweep_with, Evaluation, Evaluator, EvaluatorKind, OnFailure, Scenario,
@@ -122,31 +122,11 @@ impl ErrorReply {
 
     /// The reply line for this error.
     pub fn line(&self) -> String {
-        format!("{{\"id\":{},\"status\":\"error\",\"error\":\"{}\"}}", self.id, esc(&self.message))
-    }
-}
-
-/// Minimal JSON string escaping for messages embedded in replies.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn policy_name(policy: BusPolicy) -> &'static str {
-    match policy {
-        BusPolicy::ProcessorPriority => "proc",
-        BusPolicy::MemoryPriority => "mem",
+        format!(
+            "{{\"id\":{},\"status\":\"error\",\"error\":\"{}\"}}",
+            self.id,
+            json::escape(&self.message)
+        )
     }
 }
 
@@ -166,7 +146,7 @@ pub fn row_json(e: &Evaluation) -> String {
         s.params.m(),
         s.params.r(),
         s.params.p(),
-        policy_name(s.policy),
+        s.policy.name(),
         s.buffering.name(),
         s.arbitration.name(),
         s.workload.name(),
@@ -311,11 +291,8 @@ fn parse_scenario(v: &Json) -> Result<Scenario, String> {
     }
     let mut scenario = Scenario::new(params);
     if let Some(policy) = v.field("policy") {
-        scenario = scenario.with_policy(match policy.str() {
-            Some("proc") => BusPolicy::ProcessorPriority,
-            Some("mem") => BusPolicy::MemoryPriority,
-            _ => return Err("bad scenario policy (expected proc|mem)".to_owned()),
-        });
+        let policy = policy.str().and_then(BusPolicy::from_name);
+        scenario = scenario.with_policy(policy.ok_or("bad scenario policy (expected proc|mem)")?);
     }
     if let Some(buffering) = v.field("buffering") {
         let name = buffering.str().ok_or("scenario field \"buffering\" must be a string")?;
@@ -566,7 +543,7 @@ impl Shared {
                 Payload::Error(message) => format!(
                     "{{\"id\":{},\"status\":\"{status}\",\"error\":\"{}\"}}",
                     waiter.id,
-                    esc(message)
+                    json::escape(message)
                 ),
             };
             // A dead client costs its own replies, nobody else's.

@@ -35,8 +35,6 @@
 //!   batches.
 //! * [`sink`] — a locked whole-line writer ([`sink::LineSink`]) so
 //!   concurrent batch completions never interleave output rows.
-//! * [`replication`] — independent-replications experiment driver with
-//!   summary statistics, serial or parallel.
 //! * [`batch`] — batch-means analysis for single-run estimation,
 //!   including the sequential stopping rule
 //!   ([`batch::SequentialStopping`]) behind adaptive-precision
@@ -46,17 +44,22 @@
 //!
 //! # Example
 //!
-//! Estimate the mean of a noisy per-replication metric:
+//! Independent replications: derive one seed per replication, run them
+//! under any execution mode, and summarize. Parallel results come back
+//! in item order, so the estimate is bit-identical to a serial run.
 //!
 //! ```
-//! use busnet_sim::replication::{ReplicationPlan, run_replications};
+//! use busnet_sim::{parallel_map, ExecutionMode, RunningStats, SeedSequence};
 //!
-//! let plan = ReplicationPlan::new(8, 0xBEEF);
-//! let summary = run_replications(&plan, |_, seed| {
-//!     // A "simulation" that just hashes its seed into [0, 1).
-//!     (seed % 1000) as f64 / 1000.0
-//! });
-//! assert_eq!(summary.replications(), 8);
+//! let seeds = SeedSequence::new(0xBEEF);
+//! let reps: Vec<u64> = (0..8).collect();
+//! // A "simulation" that just hashes its seed into [0, 1).
+//! let run = |_: usize, &i: &u64| (seeds.stream(i) % 1000) as f64 / 1000.0;
+//! let serial = parallel_map(&reps, ExecutionMode::Serial, run);
+//! let parallel = parallel_map(&reps, ExecutionMode::Threads(3), run);
+//! assert_eq!(serial, parallel);
+//! let summary: RunningStats = serial.iter().copied().collect();
+//! assert_eq!(summary.count(), 8);
 //! assert!(summary.half_width_95() >= 0.0);
 //! ```
 
@@ -72,7 +75,6 @@ pub mod event;
 pub mod exec;
 pub mod fault;
 pub mod histogram;
-pub mod replication;
 pub mod seeds;
 pub mod sink;
 pub mod stats;
@@ -85,8 +87,5 @@ pub use counters::{QueueOccupancy, SimCounters};
 pub use event::{EngineKind, EventQueue};
 pub use exec::{parallel_map, parallel_map_progress, ExecutionMode};
 pub use histogram::Histogram;
-pub use replication::{
-    run_replications, run_replications_with, ReplicationPlan, ReplicationSummary,
-};
 pub use seeds::SeedSequence;
 pub use stats::{RunningStats, TimeWeighted};

@@ -264,6 +264,21 @@ mod tests {
     }
 
     #[test]
+    fn summary_statistics() {
+        let s: RunningStats = [1.0, 2.0, 3.0, 4.0].into_iter().collect();
+        assert_eq!(s.mean(), 2.5);
+        assert_eq!(s.count(), 4);
+        assert!(s.half_width_95() > 0.0);
+    }
+
+    #[test]
+    fn constant_metric_has_zero_half_width() {
+        let s: RunningStats = std::iter::repeat_n(2.0, 6).collect();
+        assert_eq!(s.mean(), 2.0);
+        assert_eq!(s.half_width_95(), 0.0);
+    }
+
+    #[test]
     fn empty_stats_are_benign() {
         let s = RunningStats::new();
         assert_eq!(s.count(), 0);

@@ -31,6 +31,7 @@ use std::time::Instant;
 use std::io::Write;
 
 use busnet::core::cache::EvalCache;
+use busnet::core::json;
 use busnet::core::params::{ArbitrationKind, Buffering, BusPolicy, SystemParams, Workload};
 use busnet::core::scenario::{
     run_sweep, run_sweep_screened, run_sweep_with, Evaluator, EvaluatorKind, OnFailure,
@@ -559,13 +560,6 @@ enum SweepFormat {
     Json,
 }
 
-fn policy_name(policy: BusPolicy) -> &'static str {
-    match policy {
-        BusPolicy::ProcessorPriority => "proc",
-        BusPolicy::MemoryPriority => "mem",
-    }
-}
-
 /// Writes one sweep row into `out` (a buffered writer: rows hit the
 /// kernel in large blocks instead of one `write(2)` per record, which
 /// measurably dominated large-grid sweeps when stdout was a pipe).
@@ -623,7 +617,7 @@ fn emit_record(record: &SweepRecord, format: SweepFormat, out: &mut impl Write) 
                     s.params.m(),
                     s.params.r(),
                     s.params.p(),
-                    policy_name(s.policy),
+                    s.policy.name(),
                     s.buffering.name(),
                     s.buffering.depth_label(),
                     s.arbitration.name(),
@@ -666,7 +660,7 @@ fn emit_record(record: &SweepRecord, format: SweepFormat, out: &mut impl Write) 
                     s.params.m(),
                     s.params.r(),
                     s.params.p(),
-                    policy_name(s.policy),
+                    s.policy.name(),
                     s.buffering.name(),
                     s.buffering.depth_label(),
                     s.arbitration.name(),
@@ -716,7 +710,7 @@ fn emit_record(record: &SweepRecord, format: SweepFormat, out: &mut impl Write) 
                     s.params.m(),
                     s.params.r(),
                     s.params.p(),
-                    policy_name(s.policy),
+                    s.policy.name(),
                     s.buffering.name(),
                     s.buffering.depth_label(),
                     s.arbitration.name(),
@@ -737,7 +731,7 @@ fn emit_record(record: &SweepRecord, format: SweepFormat, out: &mut impl Write) 
                     s.params.m(),
                     s.params.r(),
                     s.params.p(),
-                    policy_name(s.policy),
+                    s.policy.name(),
                     s.buffering.name(),
                     s.buffering.depth_label(),
                     s.arbitration.name(),
@@ -746,31 +740,13 @@ fn emit_record(record: &SweepRecord, format: SweepFormat, out: &mut impl Write) 
                     s.buses,
                     record.screened,
                     record.attempts,
-                    json_escape(&e.to_string()),
+                    json::escape(&e.to_string()),
                 ),
             };
             written.expect("stdout closed mid-sweep");
             eprintln!("# FAILED [{} @ {}]: {e}", record.evaluator, s.label());
         }
     }
-}
-
-/// Minimal JSON string escaping for error messages embedded in failure
-/// rows.
-fn json_escape(s: &str) -> String {
-    let mut escaped = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => escaped.push_str("\\\""),
-            '\\' => escaped.push_str("\\\\"),
-            '\n' => escaped.push_str("\\n"),
-            '\r' => escaped.push_str("\\r"),
-            '\t' => escaped.push_str("\\t"),
-            c if (c as u32) < 0x20 => escaped.push_str(&format!("\\u{:04x}", c as u32)),
-            c => escaped.push(c),
-        }
-    }
-    escaped
 }
 
 /// Classifies a sweep record for the exit summary.
@@ -842,10 +818,11 @@ fn run_sweep_cmd(args: &[String]) -> ExitCode {
         Err(e) => return fail(e),
     };
     let policies = match policy_spec.as_str() {
-        "proc" => vec![BusPolicy::ProcessorPriority],
-        "mem" => vec![BusPolicy::MemoryPriority],
         "both" => vec![BusPolicy::ProcessorPriority, BusPolicy::MemoryPriority],
-        other => return fail(format!("bad --policy `{other}` (expected proc|mem|both)")),
+        other => match BusPolicy::from_name(other) {
+            Some(policy) => vec![policy],
+            None => return fail(format!("bad --policy `{other}` (expected proc|mem|both)")),
+        },
     };
     let bufferings = match (buffering_spec, depth_spec) {
         (Some(_), Some(_)) => {
@@ -2254,7 +2231,7 @@ fn run_bench_sweep(args: &[String]) -> ExitCode {
          \"stream\": \"64 requests over 16 unique pfqn points (4 clients' worth of duplicates)\",\n    \
          \"requests\": {serve_requests},\n    \"unique_points\": {serve_unique},\n    \
          \"evaluated\": {serve_evaluated},\n    \"coalesced\": {serve_coalesced},\n    \
-         \"cache_replies\": {serve_cache_replies},\n    \"seconds\": {serve_secs:.3},\n    \
+         \"cache_replies\": {serve_cache_replies},\n    \"seconds\": {serve_secs:.6},\n    \
          \"evaluator_calls_saved\": {serve_saved:.3},\n    \
          \"acceptance\": \"duplicate-heavy stream saves >= 50% of evaluator calls\"\n  }}\n}}\n",
         engine = engine.name(),

@@ -10,7 +10,8 @@
 //!   approximation, reduced `(i,c,e,b)` chain, product-form model).
 //! * [`markov`] — Markov-chain substrate (state spaces, solvers,
 //!   combinatorics).
-//! * [`sim`] — cycle-level simulation kernel (statistics, replications).
+//! * [`sim`] — cycle-level simulation kernel (statistics, seed streams,
+//!   parallel execution).
 //! * [`queueing`] — closed product-form queueing networks (MVA, Buzen).
 //! * [`report`] — experiment registry regenerating every table and
 //!   figure of the paper, plus the paper's printed reference data.

@@ -2,9 +2,9 @@
 //! every stochastic component.
 
 use busnet::core::params::{Buffering, BusPolicy, SystemParams};
+use busnet::core::scenario::{BusSimEval, Evaluator, Scenario, SimBudget};
 use busnet::core::sim::bus::BusSimBuilder;
 use busnet::core::sim::crossbar::CrossbarSim;
-use busnet::core::sim::runner::EbwExperiment;
 use busnet::sim::seeds::SeedSequence;
 
 #[test]
@@ -42,14 +42,15 @@ fn crossbar_sim_reproducible() {
 
 #[test]
 fn replicated_experiments_reproducible() {
-    let run = || {
-        EbwExperiment::new(SystemParams::new(4, 8, 6).unwrap())
-            .replications(3)
-            .warmup_cycles(500)
-            .measure_cycles(5_000)
-            .master_seed(99)
-            .run()
+    let budget = SimBudget {
+        replications: 3,
+        warmup: 500,
+        measure: 5_000,
+        master_seed: 99,
+        ..SimBudget::paper()
     };
+    let scenario = Scenario::new(SystemParams::new(4, 8, 6).unwrap());
+    let run = || BusSimEval::new(budget).evaluate(&scenario).unwrap();
     assert_eq!(run(), run());
 }
 
@@ -65,10 +66,9 @@ fn seed_streams_are_stable_across_calls() {
 fn different_replications_use_different_seeds() {
     // Same plan, but each replication must see distinct randomness:
     // the replication values should not all coincide.
-    let est = EbwExperiment::new(SystemParams::new(8, 8, 8).unwrap())
-        .replications(4)
-        .warmup_cycles(200)
-        .measure_cycles(2_000)
-        .run();
+    let budget = SimBudget { replications: 4, warmup: 200, measure: 2_000, ..SimBudget::paper() };
+    let est = BusSimEval::new(budget)
+        .evaluate(&Scenario::new(SystemParams::new(8, 8, 8).unwrap()))
+        .unwrap();
     assert!(est.half_width_95 > 0.0, "replications look identical");
 }

@@ -3,8 +3,7 @@
 //! arbitration, and the waiting-time distribution machinery.
 
 use busnet::core::analytic::crossbar::crossbar_ebw_exact;
-use busnet::core::params::{Buffering, SystemParams};
-use busnet::core::sim::address::AddressPattern;
+use busnet::core::params::{Buffering, SystemParams, Workload};
 use busnet::core::sim::bus::{ArbitrationKind, BusSimBuilder};
 
 fn base(n: u32, m: u32, r: u32) -> BusSimBuilder {
@@ -13,6 +12,16 @@ fn base(n: u32, m: u32, r: u32) -> BusSimBuilder {
         .seed(1717)
         .warmup_cycles(5_000)
         .measure_cycles(60_000)
+}
+
+/// A fraction `hot_probability` of references concentrates on the first
+/// `hot_modules` modules; the rest spread uniformly over all `m`.
+fn hot_set(m: u32, hot_modules: u32, hot_probability: f64) -> Workload {
+    let base = (1.0 - hot_probability) / f64::from(m);
+    let extra = hot_probability / f64::from(hot_modules);
+    let weights: Vec<f64> =
+        (0..m).map(|j| if j < hot_modules { base + extra } else { base }).collect();
+    Workload::weighted(weights).unwrap()
 }
 
 #[test]
@@ -43,7 +52,7 @@ fn channel_scaling_saturates_at_memory_bound() {
 fn deeper_buffers_monotone_not_worse() {
     let mut prev = 0.0;
     for depth in [1u32, 2, 4] {
-        let measured = base(8, 4, 8).buffer_depth(depth).build().run().ebw();
+        let measured = base(8, 4, 8).buffering(Buffering::Depth(depth)).build().run().ebw();
         assert!(measured >= prev - 0.05, "depth {depth}: {measured:.3} after {prev:.3}");
         prev = measured;
     }
@@ -56,8 +65,7 @@ fn hot_spot_monotonically_degrades_ebw() {
         let builder = if hot == 0.0 {
             base(8, 8, 8)
         } else {
-            base(8, 8, 8)
-                .addressing(AddressPattern::HotSpot { hot_modules: 1, hot_probability: hot })
+            base(8, 8, 8).workload(Workload::hot_spot(hot, 0).unwrap())
         };
         let measured = builder.build().run().ebw();
         assert!(measured <= prev + 0.05, "hot={hot}: {measured:.3} after {prev:.3}");
@@ -72,11 +80,7 @@ fn hot_spot_monotonically_degrades_ebw() {
 fn hot_spot_with_all_modules_hot_is_uniform() {
     // Degenerate hot set = every module → statistically uniform.
     let uniform = base(8, 8, 8).build().run().ebw();
-    let degenerate = base(8, 8, 8)
-        .addressing(AddressPattern::HotSpot { hot_modules: 8, hot_probability: 0.7 })
-        .build()
-        .run()
-        .ebw();
+    let degenerate = base(8, 8, 8).workload(hot_set(8, 8, 0.7)).build().run().ebw();
     assert!((uniform - degenerate).abs() / uniform < 0.02, "{uniform:.3} vs {degenerate:.3}");
 }
 
@@ -101,36 +105,33 @@ fn wait_histogram_consistent_with_mean() {
 
 #[test]
 fn buffer_depth_is_validated_against_the_buffering_scheme() {
-    // The seed silently ignored a buffer_depth override on an
-    // unbuffered simulator; it is now rejected at build time instead.
+    // The depth comes from the buffering scheme alone; out-of-range
+    // depths are rejected before any engine is built.
     let builder = |buffering| {
         BusSimBuilder::new(SystemParams::new(6, 6, 6).unwrap()).buffering(buffering).seed(3)
     };
-    assert!(builder(Buffering::Unbuffered).buffer_depth(8).resolved_depth().is_err());
-    assert!(builder(Buffering::Infinite).buffer_depth(8).resolved_depth().is_err());
-    assert!(builder(Buffering::Buffered).buffer_depth(0).resolved_depth().is_err());
-    assert!(builder(Buffering::Depth(4)).buffer_depth(3).resolved_depth().is_err());
-    // Consistent combinations resolve to the agreed depth.
-    assert_eq!(builder(Buffering::Depth(4)).buffer_depth(4).resolved_depth().unwrap(), 4);
-    assert_eq!(builder(Buffering::Depth(0)).buffer_depth(0).resolved_depth().unwrap(), 0);
-    assert_eq!(builder(Buffering::Buffered).buffer_depth(8).resolved_depth().unwrap(), 8);
+    assert!(builder(Buffering::Depth(5_000)).resolved_depth().is_err());
+    assert_eq!(builder(Buffering::Depth(4)).resolved_depth().unwrap(), 4);
+    assert_eq!(builder(Buffering::Depth(0)).resolved_depth().unwrap(), 0);
+    assert_eq!(builder(Buffering::Buffered).resolved_depth().unwrap(), 1);
     assert_eq!(builder(Buffering::Unbuffered).resolved_depth().unwrap(), 0);
     assert_eq!(builder(Buffering::Infinite).resolved_depth().unwrap(), 6); // n = 6
 }
 
 #[test]
-#[should_panic(expected = "inconsistent buffering configuration")]
-fn inconsistent_buffer_depth_rejected_at_build() {
-    let _ = BusSimBuilder::new(SystemParams::new(6, 6, 6).unwrap()).buffer_depth(8).build();
+#[should_panic(expected = "invalid buffering configuration")]
+fn invalid_buffer_depth_rejected_at_build() {
+    let _ = BusSimBuilder::new(SystemParams::new(6, 6, 6).unwrap())
+        .buffering(Buffering::Depth(5_000))
+        .build();
 }
 
 #[test]
 fn invariants_hold_with_all_extensions_combined() {
     let mut sim = BusSimBuilder::new(SystemParams::new(7, 5, 6).unwrap())
-        .buffering(Buffering::Buffered)
-        .buffer_depth(3)
+        .buffering(Buffering::Depth(3))
         .channels(3)
-        .addressing(AddressPattern::HotSpot { hot_modules: 2, hot_probability: 0.5 })
+        .workload(hot_set(5, 2, 0.5))
         .arbitration(ArbitrationKind::RoundRobin)
         .seed(23)
         .build();
