@@ -55,6 +55,7 @@ pub mod cache;
 pub mod json;
 pub mod metrics;
 pub mod params;
+pub mod row;
 pub mod scenario;
 pub mod serve;
 pub mod sim;

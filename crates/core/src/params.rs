@@ -1,5 +1,6 @@
 //! System parameters and operating-mode knobs (paper §2).
 
+use std::fmt;
 use std::sync::Arc;
 
 use crate::error::CoreError;
@@ -136,14 +137,9 @@ impl Buffering {
     }
 
     /// Stable textual id: `unbuffered`, `buffered`, `depthK`,
-    /// `infinite`.
+    /// `infinite` (the [`fmt::Display`] form).
     pub fn name(self) -> String {
-        match self {
-            Buffering::Unbuffered => "unbuffered".to_owned(),
-            Buffering::Buffered => "buffered".to_owned(),
-            Buffering::Depth(k) => format!("depth{k}"),
-            Buffering::Infinite => "infinite".to_owned(),
-        }
+        self.to_string()
     }
 
     /// Parses a textual id as produced by [`Buffering::name`] (also
@@ -157,13 +153,29 @@ impl Buffering {
         }
     }
 
-    /// The depth as a short column label: `0`, `1`, `k`, or `inf`.
-    pub fn depth_label(self) -> String {
+    /// The depth as a short column label: `0`, `1`, `k`, or `inf`
+    /// (honours width and alignment, so it pads in tables).
+    pub fn depth_label(self) -> impl fmt::Display {
+        struct Label(Buffering);
+        impl fmt::Display for Label {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                match self.0 {
+                    Buffering::Infinite => f.pad("inf"),
+                    b => fmt::Display::fmt(&b.effective_depth(0), f),
+                }
+            }
+        }
+        Label(self)
+    }
+}
+
+impl fmt::Display for Buffering {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Buffering::Unbuffered => "0".to_owned(),
-            Buffering::Buffered => "1".to_owned(),
-            Buffering::Depth(k) => k.to_string(),
-            Buffering::Infinite => "inf".to_owned(),
+            Buffering::Unbuffered => f.write_str("unbuffered"),
+            Buffering::Buffered => f.write_str("buffered"),
+            Buffering::Depth(k) => write!(f, "depth{k}"),
+            Buffering::Infinite => f.write_str("infinite"),
         }
     }
 }
@@ -702,14 +714,87 @@ impl Workload {
 
     /// Stable textual id for labels and sweep columns: `uniform`,
     /// `hot0.5@2`, `weighted`, `hetero`, `mmpp2d500` (`k` phases,
-    /// dwell cycles).
+    /// dwell cycles). The [`fmt::Display`] form.
     pub fn name(&self) -> String {
+        self.to_string()
+    }
+
+    /// Parses one workload spec given under its flag name — the
+    /// grammar shared by the `busnet sim`/`sweep` flags
+    /// `--hot-spot FRAC[@MODULE]`, `--module-weights W1,..,Wm`,
+    /// `--think-probs P1,..,Pn` and
+    /// `--burst ONP:OFFP:STAY:DWELL[:FRAC@MODULE]`, and by the serve
+    /// protocol's `"workload":"FLAG:VALUE"` field. A burst is an on/off
+    /// MMPP with per-phase think probabilities `ONP`/`OFFP`, phase
+    /// self-transition probability `STAY`, a dwell of `DWELL` cycles
+    /// between phase-transition draws, and an optional on-phase hot
+    /// spot.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the flag and the expected form for an unknown
+    /// flag or malformed value, or the constructor's
+    /// [`CoreError`] text for a well-formed but invalid one.
+    pub fn parse_flag(flag: &str, spec: &str) -> Result<Workload, String> {
+        let invalid = |e: CoreError| e.to_string();
+        match flag {
+            "hot-spot" => {
+                let (frac, module) = spec.split_once('@').unwrap_or((spec, "0"));
+                let module = module
+                    .parse()
+                    .map_err(|_| format!("bad --hot-spot `{spec}` (MODULE must be an integer)"))?;
+                let fraction = frac.parse().map_err(|_| {
+                    format!("bad --hot-spot `{spec}` (expected FRAC or FRAC@MODULE)")
+                })?;
+                Workload::hot_spot(fraction, module).map_err(invalid)
+            }
+            "module-weights" => Workload::weighted(parse_number_list(spec)?).map_err(invalid),
+            "think-probs" => Workload::heterogeneous(parse_number_list(spec)?).map_err(invalid),
+            "burst" => {
+                let bad =
+                    || format!("bad --burst `{spec}` (expected ONP:OFFP:STAY:DWELL[:FRAC@MODULE])");
+                let num = |v: &str| v.parse::<f64>().map_err(|_| bad());
+                let (on, off, stay, dwell, hot) = match spec.split(':').collect::<Vec<_>>()[..] {
+                    [on, off, stay, dwell] => (on, off, stay, dwell, None),
+                    [on, off, stay, dwell, hot] => {
+                        let (frac, module) = hot.split_once('@').ok_or_else(bad)?;
+                        let hot = (num(frac)?, module.parse().map_err(|_| bad())?);
+                        (on, off, stay, dwell, Some(hot))
+                    }
+                    _ => return Err(bad()),
+                };
+                let dwell = dwell.parse().map_err(|_| bad())?;
+                Workload::on_off_burst(num(on)?, num(off)?, num(stay)?, dwell, hot).map_err(invalid)
+            }
+            other => {
+                Err(format!("unknown workload `{other}` (expected {})", WORKLOAD_FLAGS.join("|")))
+            }
+        }
+    }
+}
+
+/// The flag names [`Workload::parse_flag`] accepts.
+pub const WORKLOAD_FLAGS: [&str; 4] = ["hot-spot", "module-weights", "think-probs", "burst"];
+
+/// Parses a comma list of numbers (`0.2,1` or `4,2,1,1`).
+///
+/// # Errors
+///
+/// A message naming the list and its first non-number.
+pub fn parse_number_list(spec: &str) -> Result<Vec<f64>, String> {
+    spec.split(',')
+        .map(|v| v.parse().map_err(|_| format!("bad value list `{spec}`: `{v}` is not a number")))
+        .collect()
+}
+
+impl fmt::Display for Workload {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Workload::Uniform => "uniform".to_owned(),
-            Workload::HotSpot { fraction, module } => format!("hot{fraction}@{module}"),
-            Workload::Weighted(_) => "weighted".to_owned(),
-            Workload::Heterogeneous(_) => "hetero".to_owned(),
-            Workload::Mmpp(spec) => format!("mmpp{}d{}", spec.phase_count(), spec.dwell()),
+            Workload::Uniform => f.write_str("uniform"),
+            Workload::HotSpot { fraction, module } => write!(f, "hot{fraction}@{module}"),
+            Workload::Weighted(_) => f.write_str("weighted"),
+            Workload::Heterogeneous(_) => f.write_str("hetero"),
+            Workload::Mmpp(spec) => write!(f, "mmpp{}d{}", spec.phase_count(), spec.dwell()),
         }
     }
 }
@@ -900,8 +985,8 @@ mod tests {
         assert_eq!(Buffering::from_name("depthx"), None);
         assert_eq!(Buffering::from_name("nope"), None);
         assert!(Buffering::Depth(5000).validate().is_err());
-        assert_eq!(Buffering::Depth(4).depth_label(), "4");
-        assert_eq!(Buffering::Infinite.depth_label(), "inf");
+        assert_eq!(Buffering::Depth(4).depth_label().to_string(), "4");
+        assert_eq!(Buffering::Infinite.depth_label().to_string(), "inf");
     }
 
     #[test]

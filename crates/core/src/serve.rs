@@ -10,7 +10,16 @@
 //! {"id":1,"scenario":{"n":8,"m":16,"r":8},"evaluator":"pfqn","budget":{"replications":4}}
 //! ```
 //!
-//! and earns exactly one reply line tagged with the request id and a
+//! The scenario's optional `workload` field is `"uniform"` (the
+//! default) or `"FLAG:VALUE"`, where `FLAG` names one of the `busnet
+//! sim`/`sweep` workload flags — `hot-spot`, `module-weights`,
+//! `think-probs`, `burst` — and `VALUE` follows that flag's grammar:
+//! `"hot-spot:0.2@0"`, `"module-weights:4,2,1,1"`,
+//! `"think-probs:1,1,0.5,0.25"`, `"burst:0.9:0.05:0.9:500:0.5@0"`. Both
+//! paths parse it with [`Workload::parse_flag`], so they accept the
+//! same specs and reject the rest with the same message.
+//!
+//! A request earns exactly one reply line tagged with the request id and a
 //! status:
 //!
 //! * `fresh` — this request caused the evaluation;
@@ -61,7 +70,10 @@ use busnet_sim::sink::LineSink;
 
 use crate::cache::{cache_key, EvalCache};
 use crate::json::{self, Json};
-use crate::params::{ArbitrationKind, Buffering, BusPolicy, SystemParams, Workload};
+use crate::params::{
+    ArbitrationKind, Buffering, BusPolicy, SystemParams, Workload, WORKLOAD_FLAGS,
+};
+use crate::row::{self, Row};
 use crate::scenario::{
     evaluator_calls, run_sweep_with, Evaluation, Evaluator, EvaluatorKind, OnFailure, Scenario,
     SimBudget, Stopping, Supervisor, SweepOptions, SweepRecord, UnitStatus,
@@ -131,34 +143,14 @@ impl ErrorReply {
 }
 
 /// The deterministic result-row payload shared by `fresh`, `cached`,
-/// and `degraded` replies. Metric floats are formatted from their
-/// exact bits, so a cached replay renders byte-identically to the
-/// fresh evaluation it memoized.
+/// and `degraded` replies: the `row::SERVE` projection of the row
+/// schema. Metric floats are formatted from their exact bits, so a
+/// cached replay renders byte-identically to the fresh evaluation it
+/// memoized.
 pub fn row_json(e: &Evaluation) -> String {
-    let s = &e.scenario;
-    let m = &e.metrics;
-    format!(
-        "{{\"n\":{},\"m\":{},\"r\":{},\"p\":{},\"policy\":\"{}\",\"buffering\":\"{}\",\
-         \"arbitration\":\"{}\",\"workload\":\"{}\",\"buses\":{},\"evaluator\":\"{}\",\
-         \"ebw\":{:.6},\"half_width_95\":{:.6},\"bus_utilization\":{:.6},\
-         \"memory_utilization\":{:.6},\"processor_efficiency\":{:.6},\"replications\":{}}}",
-        s.params.n(),
-        s.params.m(),
-        s.params.r(),
-        s.params.p(),
-        s.policy.name(),
-        s.buffering.name(),
-        s.arbitration.name(),
-        s.workload.name(),
-        s.buses,
-        e.evaluator,
-        m.ebw,
-        e.half_width_95,
-        m.bus_utilization,
-        m.memory_utilization,
-        m.processor_efficiency,
-        e.replications,
-    )
+    let mut out = String::with_capacity(320);
+    row::json_row(&row::SERVE, &Row::of_evaluation(e), &mut out);
+    out
 }
 
 /// Parses one protocol line.
@@ -187,20 +179,9 @@ pub fn parse_request(line: &str) -> Result<Request, ErrorReply> {
             other => Err(fail(format!("unknown op `{other}` (expected stats)"))),
         };
     }
-    let Json::Obj(fields) = &doc else { unreachable!("filtered above") };
-    for (name, _) in fields {
-        if !matches!(
-            name.as_str(),
-            "id" | "scenario"
-                | "evaluator"
-                | "budget"
-                | "max_retries"
-                | "on_failure"
-                | "unit_budget"
-        ) {
-            return Err(fail(format!("unknown request field `{name}`")));
-        }
-    }
+    let known =
+        ["id", "scenario", "evaluator", "budget", "max_retries", "on_failure", "unit_budget"];
+    check_fields(&doc, "request", &known).map_err(&fail)?;
     let scenario_obj =
         doc.field("scenario").ok_or_else(|| fail("missing \"scenario\"".to_owned()))?;
     let scenario = parse_scenario(scenario_obj).map_err(&fail)?;
@@ -265,25 +246,31 @@ fn default_budget() -> SimBudget {
     }
 }
 
-fn parse_scenario(v: &Json) -> Result<Scenario, String> {
-    let Json::Obj(fields) = v else { return Err("\"scenario\" must be an object".to_owned()) };
-    for (name, _) in fields {
-        if !matches!(
-            name.as_str(),
-            "n" | "m" | "r" | "p" | "policy" | "buffering" | "arbitration" | "workload" | "buses"
-        ) {
-            return Err(format!("unknown scenario field `{name}`"));
-        }
+/// Checks that `v` is an object whose fields are all `known` ones.
+fn check_fields(v: &Json, what: &str, known: &[&str]) -> Result<(), String> {
+    let Json::Obj(fields) = v else { return Err(format!("\"{what}\" must be an object")) };
+    match fields.iter().find(|(name, _)| !known.contains(&name.as_str())) {
+        Some((name, _)) => Err(format!("unknown {what} field `{name}`")),
+        None => Ok(()),
     }
-    let int_field = |name: &str| -> Result<u32, String> {
-        let raw = v
-            .field(name)
-            .ok_or_else(|| format!("missing scenario field \"{name}\""))?
-            .int()
-            .ok_or_else(|| format!("scenario field \"{name}\" must be an integer"))?;
+}
+
+/// The optional integer field `name` of the object `what`.
+fn int_field(v: &Json, what: &str, name: &str) -> Result<Option<u64>, String> {
+    let int =
+        |j: &Json| j.int().ok_or_else(|| format!("{what} field \"{name}\" must be an integer"));
+    v.field(name).map(int).transpose()
+}
+
+fn parse_scenario(v: &Json) -> Result<Scenario, String> {
+    let known = ["n", "m", "r", "p", "policy", "buffering", "arbitration", "workload", "buses"];
+    check_fields(v, "scenario", &known)?;
+    let dimension = |name: &str| -> Result<u32, String> {
+        let raw = int_field(v, "scenario", name)?
+            .ok_or_else(|| format!("missing scenario field \"{name}\""))?;
         u32::try_from(raw).map_err(|_| format!("scenario field \"{name}\" out of range"))
     };
-    let mut params = SystemParams::new(int_field("n")?, int_field("m")?, int_field("r")?)
+    let mut params = SystemParams::new(dimension("n")?, dimension("m")?, dimension("r")?)
         .map_err(|e| e.to_string())?;
     if let Some(p) = v.field("p") {
         let p = p.number().ok_or("scenario field \"p\" must be a number")?;
@@ -308,13 +295,20 @@ fn parse_scenario(v: &Json) -> Result<Scenario, String> {
             })?);
     }
     if let Some(workload) = v.field("workload") {
-        match workload.str() {
-            Some("uniform") => scenario = scenario.with_workload(Workload::Uniform),
-            _ => return Err("bad workload (the serve protocol accepts \"uniform\")".to_owned()),
-        }
+        let spec = workload.str().ok_or("scenario field \"workload\" must be a string")?;
+        let workload = match spec.split_once(':') {
+            _ if spec == "uniform" => Workload::Uniform,
+            Some((flag, value)) => Workload::parse_flag(flag, value)?,
+            None => {
+                return Err(format!(
+                    "bad workload `{spec}` (expected uniform or FLAG:VALUE, FLAG one of {})",
+                    WORKLOAD_FLAGS.join("|")
+                ))
+            }
+        };
+        scenario = scenario.with_workload(workload);
     }
-    if let Some(buses) = v.field("buses") {
-        let buses = buses.int().ok_or("scenario field \"buses\" must be an integer")?;
+    if let Some(buses) = int_field(v, "scenario", "buses")? {
         scenario = scenario
             .with_buses(u32::try_from(buses).map_err(|_| "buses out of range".to_owned())?)
             .map_err(|e| e.to_string())?;
@@ -324,25 +318,10 @@ fn parse_scenario(v: &Json) -> Result<Scenario, String> {
 }
 
 fn parse_budget(v: &Json) -> Result<SimBudget, String> {
-    let Json::Obj(fields) = v else { return Err("\"budget\" must be an object".to_owned()) };
-    for (name, _) in fields {
-        if !matches!(
-            name.as_str(),
-            "replications" | "cycles" | "warmup" | "seed" | "engine" | "ci_width" | "max_reps"
-        ) {
-            return Err(format!("unknown budget field `{name}`"));
-        }
-    }
+    let known = ["replications", "cycles", "warmup", "seed", "engine", "ci_width", "max_reps"];
+    check_fields(v, "budget", &known)?;
     let mut budget = default_budget();
-    let int_field = |name: &str| -> Result<Option<u64>, String> {
-        match v.field(name) {
-            None => Ok(None),
-            Some(j) => j
-                .int()
-                .map(Some)
-                .ok_or_else(|| format!("budget field \"{name}\" must be an integer")),
-        }
-    };
+    let int_field = |name: &str| int_field(v, "budget", name);
     if let Some(reps) = int_field("replications")? {
         budget.replications =
             u32::try_from(reps).map_err(|_| "replications out of range".to_owned())?;
@@ -378,26 +357,10 @@ fn parse_budget(v: &Json) -> Result<SimBudget, String> {
 }
 
 fn parse_unit_budget(v: &Json) -> Result<UnitBudget, String> {
-    let Json::Obj(fields) = v else {
-        return Err("\"unit_budget\" must be an object".to_owned());
-    };
-    for (name, _) in fields {
-        if !matches!(name.as_str(), "events" | "millis") {
-            return Err(format!("unknown unit_budget field `{name}`"));
-        }
-    }
-    let field = |name: &str| -> Result<Option<u64>, String> {
-        match v.field(name) {
-            None => Ok(None),
-            Some(j) => j
-                .int()
-                .map(Some)
-                .ok_or_else(|| format!("unit_budget field \"{name}\" must be an integer")),
-        }
-    };
+    check_fields(v, "unit_budget", &["events", "millis"])?;
     let budget = UnitBudget {
-        max_events: field("events")?.filter(|&e| e > 0),
-        max_millis: field("millis")?.filter(|&m| m > 0),
+        max_events: int_field(v, "unit_budget", "events")?.filter(|&e| e > 0),
+        max_millis: int_field(v, "unit_budget", "millis")?.filter(|&m| m > 0),
     };
     if budget.is_unlimited() {
         return Err("unit_budget must bound events and/or millis".to_owned());
@@ -831,6 +794,49 @@ mod tests {
         // Ids are echoed in errors whenever they were parseable.
         let err = parse_request(r#"{"id":42,"op":"reboot"}"#).unwrap_err();
         assert_eq!(err.id, "42");
+    }
+
+    /// Every workload the CLI flags can build is servable through the
+    /// same parser, and its reply row is the row of the direct
+    /// evaluation.
+    #[test]
+    fn serve_reaches_every_workload() {
+        let budget = SimBudget { replications: 2, warmup: 200, measure: 2_000, ..default_budget() };
+        let cases = [
+            ("hot-spot:0.2@1", Workload::hot_spot(0.2, 1), EvaluatorKind::Pfqn),
+            (
+                "module-weights:4,2,1,1",
+                Workload::weighted([4.0, 2.0, 1.0, 1.0]),
+                EvaluatorKind::Pfqn,
+            ),
+            (
+                "think-probs:1,0.5,0.5,0.25",
+                Workload::heterogeneous([1.0, 0.5, 0.5, 0.25]),
+                EvaluatorKind::Sim,
+            ),
+            (
+                "burst:0.9:0.05:0.9:500:0.5@0",
+                Workload::on_off_burst(0.9, 0.05, 0.9, 500, Some((0.5, 0))),
+                EvaluatorKind::Sim,
+            ),
+        ];
+        for (spec, workload, kind) in cases {
+            let line = format!(
+                r#"{{"id":1,"scenario":{{"n":4,"m":4,"r":2,"buffering":"buffered","workload":"{spec}"}},"evaluator":"{}","budget":{{"replications":2,"cycles":2000,"warmup":200}}}}"#,
+                kind.name()
+            );
+            let scenario = Scenario::new(SystemParams::new(4, 4, 2).unwrap())
+                .with_buffering(Buffering::Buffered)
+                .with_workload(workload.unwrap());
+            let direct = kind.build(budget).evaluate(&scenario).expect("in domain");
+            let broker = Broker::new(Arc::new(EvalCache::new()), BrokerConfig::default());
+            let (sink, buf) = sink_pair();
+            broker.submit(eval_request(&line), &sink);
+            broker.drain();
+            let reply = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
+            let want = format!("{{\"id\":1,\"status\":\"fresh\",\"row\":{}}}\n", row_json(&direct));
+            assert_eq!(reply, want, "{line}");
+        }
     }
 
     #[test]

@@ -31,8 +31,11 @@ use std::time::Instant;
 use std::io::Write;
 
 use busnet::core::cache::EvalCache;
-use busnet::core::json;
-use busnet::core::params::{ArbitrationKind, Buffering, BusPolicy, SystemParams, Workload};
+use busnet::core::params::{
+    parse_number_list, ArbitrationKind, Buffering, BusPolicy, SystemParams, Workload,
+    WORKLOAD_FLAGS,
+};
+use busnet::core::row::{self, Row};
 use busnet::core::scenario::{
     run_sweep, run_sweep_screened, run_sweep_with, Evaluator, EvaluatorKind, OnFailure,
     PfqnAlgorithm, PfqnEval, ScenarioGrid, ScreenPlan, SimBudget, Stopping, Supervisor,
@@ -62,10 +65,10 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         Some("run") => run_experiments(&args[1..]),
-        Some("sim") => run_sim(&args[1..]),
-        Some("sweep") => run_sweep_cmd(&args[1..]),
-        Some("serve") => run_serve(&args[1..]),
-        Some("request") => run_request(&args[1..]),
+        Some("sim") => exit_code(run_sim(&args[1..])),
+        Some("sweep") => exit_code(run_sweep_cmd(&args[1..])),
+        Some("serve") => exit_code(run_serve(&args[1..])),
+        Some("request") => exit_code(run_request(&args[1..])),
         Some("bench-sweep") => run_bench_sweep(&args[1..]),
         _ => {
             eprintln!(
@@ -76,7 +79,8 @@ fn main() -> ExitCode {
                  [--memory-priority] [--seed S] [--cycles C] [--warmup W]\n      \
                  [--arbitration KIND] [--engine cycle|event]\n      \
                  [--hot-spot FRAC[@MODULE]] [--module-weights W1,..,Wm]\n      \
-                 [--think-probs P1,..,Pn] [--ci-width X [--max-reps K]]\n\
+                 [--think-probs P1,..,Pn] [--burst ONP:OFFP:STAY:DWELL[:FRAC@MODULE]]\n      \
+                 [--ci-width X [--max-reps K]]\n\
                  sweep --n SPEC --m SPEC --r SPEC [--p LIST] [--policy proc|mem|both]\n      \
                  [--buffering unbuffered|buffered|depthK|infinite|both]\n      \
                  [--buffer-depth LIST(K|inf)] [--arbitration LIST|all]\n      \
@@ -100,6 +104,20 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         }
     }
+}
+
+/// A subcommand's exit: its own code, or `FAILURE` after printing its
+/// error to stderr.
+fn exit_code(result: Result<ExitCode, String>) -> ExitCode {
+    result.unwrap_or_else(|e| {
+        eprintln!("{e}");
+        ExitCode::FAILURE
+    })
+}
+
+/// Appended to a flag error of `sim`, `sweep`, `serve` and `request`.
+fn usage_hint(e: String) -> String {
+    format!("{e}\nrun `busnet` without arguments for usage")
 }
 
 fn run_experiments(args: &[String]) -> ExitCode {
@@ -203,7 +221,7 @@ impl<'a> Flags<'a> {
     }
 }
 
-fn run_sim(args: &[String]) -> ExitCode {
+fn run_sim(args: &[String]) -> Result<ExitCode, String> {
     let mut flags = Flags::new(args);
     let n: u32 = flags.parse("--n", 8);
     let m: u32 = flags.parse("--m", 16);
@@ -216,97 +234,44 @@ fn run_sim(args: &[String]) -> ExitCode {
     let warmup: u64 = flags.parse("--warmup", cycles / 10);
     let memory_priority = flags.switch("--memory-priority");
     let buffered = flags.switch("--buffered");
-    let depth_spec = flags.value("--buffer-depth").map(str::to_owned);
-    let arbitration_spec = flags.value("--arbitration").unwrap_or("random").to_owned();
-    let engine_spec = flags.value("--engine").unwrap_or("cycle").to_owned();
-    let ci_width_spec = flags.value("--ci-width").map(str::to_owned);
+    let depth_spec = flags.value("--buffer-depth");
+    let arbitration_spec = flags.value("--arbitration").unwrap_or("random");
+    let engine_spec = flags.value("--engine").unwrap_or("cycle");
+    let ci_width_spec = flags.value("--ci-width");
     let max_reps: u32 = flags.parse("--max-reps", 8);
-    let hot_spot_spec = flags.value("--hot-spot").map(str::to_owned);
-    let weights_spec = flags.value("--module-weights").map(str::to_owned);
-    let probs_spec = flags.value("--think-probs").map(str::to_owned);
-    let burst_spec = flags.value("--burst").map(str::to_owned);
-    if let Err(e) = flags.finish() {
-        eprintln!(
-            "{e}\nusage: busnet sim --n N --m M --r R [--p P] [--buffered] \
-                   [--buffer-depth K|inf] [--memory-priority] [--seed S] [--cycles C] \
-                   [--warmup W] [--arbitration KIND] [--engine cycle|event] \
-                   [--hot-spot FRAC[@MODULE]] [--module-weights W1,..,Wm] \
-                   [--think-probs P1,..,Pn] [--burst ONP:OFFP:STAY:DWELL[:FRAC@MODULE]] \
-                   [--ci-width X [--max-reps K]]"
-        );
-        return ExitCode::FAILURE;
-    }
-    let workload = match parse_workload_flags(
-        hot_spot_spec.as_deref(),
-        weights_spec.as_deref(),
-        probs_spec.as_deref(),
-        burst_spec.as_deref(),
-    ) {
-        Ok(mut workloads) if workloads.len() == 1 => workloads.remove(0),
-        Ok(_) => {
-            eprintln!("busnet sim takes a single --hot-spot fraction (lists are for sweep)");
-            return ExitCode::FAILURE;
-        }
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
+    let workloads = workload_flags(&mut flags);
+    flags.finish().map_err(usage_hint)?;
+    let workload = match workloads? {
+        mut workloads if workloads.len() == 1 => workloads.remove(0),
+        _ => {
+            return Err("busnet sim takes a single --hot-spot fraction (lists are for sweep)".into())
         }
     };
-    let ci_width = match ci_width_spec.as_deref().map(parse_ci_width).transpose() {
-        Ok(w) => w,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let ci_width = ci_width_spec.map(parse_ci_width).transpose()?;
     if ci_width.is_some() && cycles == 0 {
-        eprintln!("--ci-width needs a positive --cycles budget (got --cycles 0)");
-        return ExitCode::FAILURE;
+        return Err("--ci-width needs a positive --cycles budget (got --cycles 0)".into());
     }
     let buffering = match depth_spec {
-        None => {
-            if buffered {
-                Buffering::Buffered
-            } else {
-                Buffering::Unbuffered
+        None if buffered => Buffering::Buffered,
+        None => Buffering::Unbuffered,
+        Some(spec) => {
+            let b = parse_buffer_depth(spec)?;
+            if buffered && !b.is_buffered() {
+                return Err(format!("--buffered conflicts with --buffer-depth {spec}"));
             }
+            b
         }
-        Some(spec) => match parse_buffer_depth(&spec) {
-            Ok(b) => {
-                if buffered && !b.is_buffered() {
-                    eprintln!("--buffered conflicts with --buffer-depth {spec}");
-                    return ExitCode::FAILURE;
-                }
-                b
-            }
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        },
     };
-    let Some(arbitration) = ArbitrationKind::from_name(&arbitration_spec) else {
-        eprintln!(
-            "bad --arbitration `{arbitration_spec}` (expected random|round-robin|lru|priority)"
-        );
-        return ExitCode::FAILURE;
-    };
-    let Some(engine) = EngineKind::from_name(&engine_spec) else {
-        eprintln!("bad --engine `{engine_spec}` (expected cycle|event)");
-        return ExitCode::FAILURE;
-    };
+    let arbitration = ArbitrationKind::from_name(arbitration_spec).ok_or_else(|| {
+        format!("bad --arbitration `{arbitration_spec}` (expected random|round-robin|lru|priority)")
+    })?;
+    let engine = EngineKind::from_name(engine_spec)
+        .ok_or_else(|| format!("bad --engine `{engine_spec}` (expected cycle|event)"))?;
 
-    let params = match SystemParams::new(n, m, r).and_then(|q| q.with_request_probability(p)) {
-        Ok(q) => q,
-        Err(e) => {
-            eprintln!("invalid parameters: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Err(e) = workload.validate(n, m) {
-        eprintln!("invalid workload: {e}");
-        return ExitCode::FAILURE;
-    }
+    let params = SystemParams::new(n, m, r)
+        .and_then(|q| q.with_request_probability(p))
+        .map_err(|e| format!("invalid parameters: {e}"))?;
+    workload.validate(n, m).map_err(|e| format!("invalid workload: {e}"))?;
     let policy =
         if memory_priority { BusPolicy::MemoryPriority } else { BusPolicy::ProcessorPriority };
 
@@ -392,85 +357,43 @@ fn run_sim(args: &[String]) -> ExitCode {
             if converged { "converged" } else { "budget exhausted" }
         );
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-/// Parses one `--hot-spot` item: `FRAC` or `FRAC@MODULE`.
-fn parse_hot_spot_item(spec: &str) -> Result<Workload, String> {
-    let (frac, module) = match spec.split_once('@') {
-        None => (spec, 0u32),
-        Some((frac, module)) => (
-            frac,
-            module
-                .parse()
-                .map_err(|_| format!("bad --hot-spot `{spec}` (MODULE must be an integer)"))?,
-        ),
-    };
-    let fraction: f64 = frac
-        .parse()
-        .map_err(|_| format!("bad --hot-spot `{spec}` (expected FRAC or FRAC@MODULE)"))?;
-    Workload::hot_spot(fraction, module).map_err(|e| e.to_string())
-}
-
-/// Parses a `--burst` spec: `ONP:OFFP:STAY:DWELL[:FRAC@MODULE]` — an
-/// on/off MMPP with per-phase think probabilities `ONP`/`OFFP`, phase
-/// self-transition probability `STAY`, a dwell of `DWELL` cycles
-/// between phase-transition draws, and an optional on-phase hot spot.
-fn parse_burst_spec(spec: &str) -> Result<Workload, String> {
-    let bad = || format!("bad --burst `{spec}` (expected ONP:OFFP:STAY:DWELL[:FRAC@MODULE])");
-    let parts: Vec<&str> = spec.split(':').collect();
-    let (on_p, off_p, stay, dwell, hot) = match parts.as_slice() {
-        [on, off, stay, dwell] => (on, off, stay, dwell, None),
-        [on, off, stay, dwell, hot] => {
-            let (frac, module) = hot.split_once('@').ok_or_else(bad)?;
-            let frac: f64 = frac.parse().map_err(|_| bad())?;
-            let module: u32 = module.parse().map_err(|_| bad())?;
-            (on, off, stay, dwell, Some((frac, module)))
+/// Consumes the workload flags (`--hot-spot`, `--module-weights`,
+/// `--think-probs`, `--burst`) into a workload axis, parsed by
+/// [`Workload::parse_flag`]. The four are mutually exclusive;
+/// `--hot-spot` accepts a comma list (one workload per fraction), the
+/// others describe a single workload.
+fn workload_flags(flags: &mut Flags) -> Result<Vec<Workload>, String> {
+    let given: Vec<(&str, &str)> = WORKLOAD_FLAGS
+        .iter()
+        .filter_map(|&flag| Some((flag, flags.value(&format!("--{flag}"))?)))
+        .collect();
+    match given[..] {
+        [] => Ok(vec![Workload::Uniform]),
+        [("hot-spot", list)] => {
+            list.split(',').map(|item| Workload::parse_flag("hot-spot", item)).collect()
         }
-        _ => return Err(bad()),
-    };
-    let on_p: f64 = on_p.parse().map_err(|_| bad())?;
-    let off_p: f64 = off_p.parse().map_err(|_| bad())?;
-    let stay: f64 = stay.parse().map_err(|_| bad())?;
-    let dwell: u64 = dwell.parse().map_err(|_| bad())?;
-    Workload::on_off_burst(on_p, off_p, stay, dwell, hot).map_err(|e| e.to_string())
+        [(flag, spec)] => Ok(vec![Workload::parse_flag(flag, spec)?]),
+        _ => Err("--hot-spot, --module-weights, --think-probs, and --burst are mutually \
+                  exclusive"
+            .to_owned()),
+    }
 }
 
-/// Resolves the workload flags (`--hot-spot`, `--module-weights`,
-/// `--think-probs`, `--burst`) into a workload axis. The four are
-/// mutually exclusive; `--hot-spot` accepts a comma list (one workload
-/// per fraction), the others describe a single workload.
-fn parse_workload_flags(
-    hot_spot: Option<&str>,
-    module_weights: Option<&str>,
-    think_probs: Option<&str>,
-    burst: Option<&str>,
-) -> Result<Vec<Workload>, String> {
-    let set =
-        [hot_spot.is_some(), module_weights.is_some(), think_probs.is_some(), burst.is_some()]
-            .iter()
-            .filter(|&&s| s)
-            .count();
-    if set > 1 {
-        return Err("--hot-spot, --module-weights, --think-probs, and --burst are mutually \
-                    exclusive"
-            .to_owned());
-    }
-    if let Some(spec) = hot_spot {
-        return spec.split(',').map(parse_hot_spot_item).collect();
-    }
-    if let Some(spec) = module_weights {
-        let weights = parse_f64_list(spec)?;
-        return Ok(vec![Workload::weighted(weights).map_err(|e| e.to_string())?]);
-    }
-    if let Some(spec) = think_probs {
-        let probs = parse_f64_list(spec)?;
-        return Ok(vec![Workload::heterogeneous(probs).map_err(|e| e.to_string())?]);
-    }
-    if let Some(spec) = burst {
-        return Ok(vec![parse_burst_spec(spec)?]);
-    }
-    Ok(vec![Workload::Uniform])
+/// Consumes the supervision flags shared by `sweep` and `serve`:
+/// `--max-retries K` (default 2), `--unit-budget EVENTS[:MILLIS]` and
+/// `--on-failure abort|skip|degrade` (default skip).
+fn supervisor_flags(flags: &mut Flags) -> Result<Supervisor, String> {
+    let max_retries: u32 = flags.parse("--max-retries", 2);
+    let unit_budget_spec = flags.value("--unit-budget");
+    let on_failure_spec = flags.value("--on-failure").unwrap_or("skip");
+    let on_failure = OnFailure::from_name(on_failure_spec).ok_or_else(|| {
+        format!("bad --on-failure `{on_failure_spec}` (expected abort|skip|degrade)")
+    })?;
+    let unit_budget = unit_budget_spec.map(parse_unit_budget).transpose()?.flatten();
+    Ok(Supervisor { max_retries, on_failure, unit_budget, ..Supervisor::default() })
 }
 
 /// Parses a `--unit-budget` value: `EVENTS[:MILLIS]`, with `0` meaning
@@ -547,12 +470,6 @@ fn parse_u32_spec(spec: &str) -> Result<Vec<u32>, String> {
         .collect()
 }
 
-fn parse_f64_list(spec: &str) -> Result<Vec<f64>, String> {
-    spec.split(',')
-        .map(|v| v.parse().map_err(|_| format!("bad value list `{spec}`: `{v}` is not a number")))
-        .collect()
-}
-
 /// Output encoding of sweep rows.
 #[derive(Clone, Copy, PartialEq)]
 enum SweepFormat {
@@ -562,190 +479,33 @@ enum SweepFormat {
 
 /// Writes one sweep row into `out` (a buffered writer: rows hit the
 /// kernel in large blocks instead of one `write(2)` per record, which
-/// measurably dominated large-grid sweeps when stdout was a pipe).
+/// measurably dominated large-grid sweeps when stdout was a pipe),
+/// rendering through `line`, a buffer reused across records.
 /// Skip/failure diagnostics still go straight to stderr.
-fn emit_record(record: &SweepRecord, format: SweepFormat, out: &mut impl Write) {
+fn emit_record(record: &SweepRecord, format: SweepFormat, line: &mut String, out: &mut impl Write) {
     let s = &record.scenario;
-    match &record.result {
-        Ok(eval) => {
-            let m = &eval.metrics;
-            // Fairness and occupancy are defined only for vehicles with
-            // a per-processor / per-module view (the simulators).
-            let fairness_csv = eval.fairness_index().map_or(String::new(), |f| format!("{f:.6}"));
-            let fairness_json =
-                eval.fairness_index().map_or("null".to_owned(), |f| format!("{f:.6}"));
-            let occ = eval.occupancy.as_ref().map(|o| {
-                (
-                    format!("{:.6}", o.mean_input_queue),
-                    format!("{:.6}", o.input_full_fraction),
-                    o.blocked_completions.to_string(),
-                )
-            });
-            let missing = |m: &str| (m.to_owned(), m.to_owned(), m.to_owned());
-            let (queue_csv, full_csv, blocked_csv) = occ.clone().unwrap_or_else(|| missing(""));
-            let (queue_json, full_json, blocked_json) = occ.unwrap_or_else(|| missing("null"));
-            // Hot-module workload telemetry (simulators only).
-            let hot = eval.hot_module.as_ref().map(|h| {
-                (
-                    format!("{:.6}", h.reference_share),
-                    format!("{:.6}", h.utilization),
-                    format!("{:.6}", h.mean_input_queue),
-                )
-            });
-            let (hot_share_csv, hot_util_csv, hot_queue_csv) =
-                hot.clone().unwrap_or_else(|| missing(""));
-            let (hot_share_json, hot_util_json, hot_queue_json) =
-                hot.unwrap_or_else(|| missing("null"));
-            // Windowed transient telemetry (MMPP simulator runs): the
-            // CSV carries the window count; JSON additionally carries
-            // the per-window EBW trajectory.
-            let win = eval.windows.as_ref();
-            let windows_csv = win.map_or(String::new(), |w| w.windows.len().to_string());
-            let windows_json = win.map_or("null".to_owned(), |w| w.windows.len().to_string());
-            let rc = s.params.r() + 2;
-            let window_ebw_json = win.map_or("null".to_owned(), |w| {
-                let points: Vec<String> =
-                    w.windows.iter().map(|x| format!("{:.6}", x.ebw(rc))).collect();
-                format!("[{}]", points.join(","))
-            });
-            let degraded = record.status == UnitStatus::Degraded;
-            let written = match format {
-                SweepFormat::Csv => writeln!(
-                    out,
-                    "{},{},{},{},{},{},{},{},{},{},{:.6},{:.6},{:.6},{:.6},{:.6},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
-                    s.params.n(),
-                    s.params.m(),
-                    s.params.r(),
-                    s.params.p(),
-                    s.policy.name(),
-                    s.buffering.name(),
-                    s.buffering.depth_label(),
-                    s.arbitration.name(),
-                    s.workload.name(),
-                    record.evaluator,
-                    m.ebw,
-                    eval.half_width_95,
-                    m.bus_utilization,
-                    m.memory_utilization,
-                    m.processor_efficiency,
-                    eval.replications,
-                    fairness_csv,
-                    queue_csv,
-                    full_csv,
-                    blocked_csv,
-                    hot_share_csv,
-                    hot_util_csv,
-                    hot_queue_csv,
-                    s.buses,
-                    record.screened,
-                    windows_csv,
-                    record.status.name(),
-                    record.attempts,
-                    degraded,
-                ),
-                SweepFormat::Json => writeln!(
-                    out,
-                    "{{\"n\":{},\"m\":{},\"r\":{},\"p\":{},\"policy\":\"{}\",\
-                     \"buffering\":\"{}\",\"buffer_depth\":\"{}\",\"arbitration\":\"{}\",\
-                     \"workload\":\"{}\",\"evaluator\":\"{}\",\
-                     \"ebw\":{:.6},\"half_width_95\":{:.6},\"bus_utilization\":{:.6},\
-                     \"memory_utilization\":{:.6},\"processor_efficiency\":{:.6},\
-                     \"replications\":{},\"fairness\":{},\"mean_input_queue\":{},\
-                     \"input_full_fraction\":{},\"blocked_completions\":{},\
-                     \"hot_ref_share\":{},\"hot_module_utilization\":{},\
-                     \"hot_mean_input_queue\":{},\"buses\":{},\"screened\":{},\
-                     \"windows\":{},\"window_ebw\":{},\
-                     \"status\":\"{}\",\"attempts\":{},\"degraded\":{}}}",
-                    s.params.n(),
-                    s.params.m(),
-                    s.params.r(),
-                    s.params.p(),
-                    s.policy.name(),
-                    s.buffering.name(),
-                    s.buffering.depth_label(),
-                    s.arbitration.name(),
-                    s.workload.name(),
-                    record.evaluator,
-                    m.ebw,
-                    eval.half_width_95,
-                    m.bus_utilization,
-                    m.memory_utilization,
-                    m.processor_efficiency,
-                    eval.replications,
-                    fairness_json,
-                    queue_json,
-                    full_json,
-                    blocked_json,
-                    hot_share_json,
-                    hot_util_json,
-                    hot_queue_json,
-                    s.buses,
-                    record.screened,
-                    windows_json,
-                    window_ebw_json,
-                    record.status.name(),
-                    record.attempts,
-                    degraded,
-                ),
-            };
-            written.expect("stdout closed mid-sweep");
-        }
-        Err(CoreError::UnsupportedScenario { .. }) => {
-            eprintln!(
-                "# skipped [{} @ {}]: outside the evaluator's domain",
-                record.evaluator,
-                s.label()
-            );
-        }
-        Err(e) => {
-            // Hard failures still stream a structured row (scenario
-            // identity, empty metrics, a `failed` status) so downstream
-            // accounting sees every grid point exactly once; the human
-            // diagnostic goes to stderr.
-            let written = match format {
-                SweepFormat::Csv => writeln!(
-                    out,
-                    "{},{},{},{},{},{},{},{},{},{},,,,,,,,,,,,,,{},{},,failed,{},false",
-                    s.params.n(),
-                    s.params.m(),
-                    s.params.r(),
-                    s.params.p(),
-                    s.policy.name(),
-                    s.buffering.name(),
-                    s.buffering.depth_label(),
-                    s.arbitration.name(),
-                    s.workload.name(),
-                    record.evaluator,
-                    s.buses,
-                    record.screened,
-                    record.attempts,
-                ),
-                SweepFormat::Json => writeln!(
-                    out,
-                    "{{\"n\":{},\"m\":{},\"r\":{},\"p\":{},\"policy\":\"{}\",\
-                     \"buffering\":\"{}\",\"buffer_depth\":\"{}\",\"arbitration\":\"{}\",\
-                     \"workload\":\"{}\",\"evaluator\":\"{}\",\"buses\":{},\"screened\":{},\
-                     \"status\":\"failed\",\"attempts\":{},\"degraded\":false,\
-                     \"error\":\"{}\"}}",
-                    s.params.n(),
-                    s.params.m(),
-                    s.params.r(),
-                    s.params.p(),
-                    s.policy.name(),
-                    s.buffering.name(),
-                    s.buffering.depth_label(),
-                    s.arbitration.name(),
-                    s.workload.name(),
-                    record.evaluator,
-                    s.buses,
-                    record.screened,
-                    record.attempts,
-                    json::escape(&e.to_string()),
-                ),
-            };
-            written.expect("stdout closed mid-sweep");
-            eprintln!("# FAILED [{} @ {}]: {e}", record.evaluator, s.label());
-        }
+    if let Err(CoreError::UnsupportedScenario { .. }) = &record.result {
+        eprintln!(
+            "# skipped [{} @ {}]: outside the evaluator's domain",
+            record.evaluator,
+            s.label()
+        );
+        return;
+    }
+    // Hard failures still stream a structured row (scenario identity,
+    // empty metrics, a `failed` status) so downstream accounting sees
+    // every grid point exactly once; the human diagnostic goes to
+    // stderr.
+    line.clear();
+    let row = Row::of_record(record);
+    match format {
+        SweepFormat::Csv => row::csv_row(&row::SWEEP, &row, line),
+        SweepFormat::Json => row::json_row(&row::SWEEP, &row, line),
+    }
+    line.push('\n');
+    out.write_all(line.as_bytes()).expect("stdout closed mid-sweep");
+    if let Err(e) = &record.result {
+        eprintln!("# FAILED [{} @ {}]: {e}", record.evaluator, s.label());
     }
 }
 
@@ -758,100 +518,67 @@ fn record_outcome(record: &SweepRecord) -> (bool, bool) {
     }
 }
 
-fn run_sweep_cmd(args: &[String]) -> ExitCode {
+fn run_sweep_cmd(args: &[String]) -> Result<ExitCode, String> {
     let mut flags = Flags::new(args);
-    let n_spec = flags.value("--n").unwrap_or("8").to_owned();
-    let m_spec = flags.value("--m").unwrap_or("16").to_owned();
-    let r_spec = flags.value("--r").unwrap_or("8").to_owned();
-    let p_spec = flags.value("--p").unwrap_or("1").to_owned();
-    let policy_spec = flags.value("--policy").unwrap_or("proc").to_owned();
-    let buffering_spec = flags.value("--buffering").map(str::to_owned);
-    let depth_spec = flags.value("--buffer-depth").map(str::to_owned);
-    let arbitration_spec = flags.value("--arbitration").unwrap_or("random").to_owned();
-    let engine_spec = flags.value("--engine").unwrap_or("cycle").to_owned();
-    let evaluator_spec = flags.value("--evaluator").unwrap_or("sim").to_owned();
-    let format_spec = flags.value("--format").unwrap_or("csv").to_owned();
+    let n_spec = flags.value("--n").unwrap_or("8");
+    let m_spec = flags.value("--m").unwrap_or("16");
+    let r_spec = flags.value("--r").unwrap_or("8");
+    let p_spec = flags.value("--p").unwrap_or("1");
+    let policy_spec = flags.value("--policy").unwrap_or("proc");
+    let buffering_spec = flags.value("--buffering");
+    let depth_spec = flags.value("--buffer-depth");
+    let arbitration_spec = flags.value("--arbitration").unwrap_or("random");
+    let engine_spec = flags.value("--engine").unwrap_or("cycle");
+    let evaluator_spec = flags.value("--evaluator").unwrap_or("sim");
+    let format_spec = flags.value("--format").unwrap_or("csv");
     let replications: u32 = flags.parse("--replications", 4);
     let cycles: u64 = flags.parse("--cycles", 50_000);
     let warmup: u64 = flags.parse("--warmup", 5_000);
     let seed: u64 = flags.parse("--seed", 0x1985_0414);
     let serial = flags.switch("--serial");
-    let ci_width_spec = flags.value("--ci-width").map(str::to_owned);
+    let ci_width_spec = flags.value("--ci-width");
     let max_reps: u32 = flags.parse("--max-reps", replications.max(1));
-    let hot_spot_spec = flags.value("--hot-spot").map(str::to_owned);
-    let weights_spec = flags.value("--module-weights").map(str::to_owned);
-    let probs_spec = flags.value("--think-probs").map(str::to_owned);
-    let burst_spec = flags.value("--burst").map(str::to_owned);
-    let buses_spec = flags.value("--buses").unwrap_or("1").to_owned();
-    let screen_spec = flags.value("--screen").map(str::to_owned);
+    let workloads = workload_flags(&mut flags);
+    let buses_spec = flags.value("--buses").unwrap_or("1");
+    let screen_spec = flags.value("--screen");
     let screen_tol: f64 = flags.parse("--screen-tol", 0.05);
-    let cache_dir_spec = flags.value("--cache-dir").map(str::to_owned);
-    let max_retries: u32 = flags.parse("--max-retries", 2);
-    let unit_budget_spec = flags.value("--unit-budget").map(str::to_owned);
-    let on_failure_spec = flags.value("--on-failure").unwrap_or("skip").to_owned();
+    let cache_dir_spec = flags.value("--cache-dir");
+    let supervisor = supervisor_flags(&mut flags);
     let resume = flags.switch("--resume");
-    let fault_plan_spec = flags.value("--fault-plan").map(str::to_owned);
-    if let Err(e) = flags.finish() {
-        eprintln!("{e}\nrun `busnet` without arguments for usage");
-        return ExitCode::FAILURE;
-    }
+    let fault_plan_spec = flags.value("--fault-plan");
+    flags.finish().map_err(usage_hint)?;
 
-    let fail = |msg: String| {
-        eprintln!("{msg}");
-        ExitCode::FAILURE
+    let (n, m, r) = match (parse_u32_spec(n_spec), parse_u32_spec(m_spec), parse_u32_spec(r_spec)) {
+        (Ok(n), Ok(m), Ok(r)) => (n, m, r),
+        (n, m, r) => {
+            return Err([n.err(), m.err(), r.err()]
+                .into_iter()
+                .flatten()
+                .collect::<Vec<_>>()
+                .join("\n"))
+        }
     };
-    let (n, m, r) =
-        match (parse_u32_spec(&n_spec), parse_u32_spec(&m_spec), parse_u32_spec(&r_spec)) {
-            (Ok(n), Ok(m), Ok(r)) => (n, m, r),
-            (n, m, r) => {
-                return fail(
-                    [n.err(), m.err(), r.err()]
-                        .into_iter()
-                        .flatten()
-                        .collect::<Vec<_>>()
-                        .join("\n"),
-                )
-            }
-        };
-    let p = match parse_f64_list(&p_spec) {
-        Ok(p) => p,
-        Err(e) => return fail(e),
-    };
-    let policies = match policy_spec.as_str() {
+    let p = parse_number_list(p_spec)?;
+    let policies = match policy_spec {
         "both" => vec![BusPolicy::ProcessorPriority, BusPolicy::MemoryPriority],
-        other => match BusPolicy::from_name(other) {
-            Some(policy) => vec![policy],
-            None => return fail(format!("bad --policy `{other}` (expected proc|mem|both)")),
-        },
+        other => vec![BusPolicy::from_name(other)
+            .ok_or_else(|| format!("bad --policy `{other}` (expected proc|mem|both)"))?],
     };
     let bufferings = match (buffering_spec, depth_spec) {
         (Some(_), Some(_)) => {
-            return fail("--buffering and --buffer-depth are mutually exclusive".to_owned())
+            return Err("--buffering and --buffer-depth are mutually exclusive".to_owned())
         }
         (None, None) => vec![Buffering::Unbuffered],
-        (Some(spec), None) => match spec.as_str() {
-            "both" => vec![Buffering::Unbuffered, Buffering::Buffered],
-            other => match Buffering::from_name(other) {
-                Some(b) => vec![b],
-                None => {
-                    return fail(format!(
-                        "bad --buffering `{other}` (expected \
-                         unbuffered|buffered|depthK|infinite|both)"
-                    ))
-                }
-            },
-        },
-        (None, Some(spec)) => {
-            match spec.split(',').map(parse_buffer_depth).collect::<Result<Vec<_>, _>>() {
-                Ok(depths) => depths,
-                Err(e) => return fail(e),
-            }
-        }
+        (Some("both"), None) => vec![Buffering::Unbuffered, Buffering::Buffered],
+        (Some(other), None) => vec![Buffering::from_name(other).ok_or_else(|| {
+            format!("bad --buffering `{other}` (expected unbuffered|buffered|depthK|infinite|both)")
+        })?],
+        (None, Some(spec)) => spec.split(',').map(parse_buffer_depth).collect::<Result<_, _>>()?,
     };
     let arbitrations: Vec<ArbitrationKind> = if arbitration_spec == "all" {
         ArbitrationKind::ALL.to_vec()
     } else {
-        match arbitration_spec
+        arbitration_spec
             .split(',')
             .map(|name| {
                 ArbitrationKind::from_name(name).ok_or_else(|| {
@@ -860,70 +587,43 @@ fn run_sweep_cmd(args: &[String]) -> ExitCode {
                     )
                 })
             })
-            .collect()
-        {
-            Ok(kinds) => kinds,
-            Err(e) => return fail(e),
-        }
+            .collect::<Result<_, _>>()?
     };
-    let Some(engine) = EngineKind::from_name(&engine_spec) else {
-        return fail(format!("bad --engine `{engine_spec}` (expected cycle|event)"));
-    };
-    let format = match format_spec.as_str() {
+    let engine = EngineKind::from_name(engine_spec)
+        .ok_or_else(|| format!("bad --engine `{engine_spec}` (expected cycle|event)"))?;
+    let format = match format_spec {
         "csv" => SweepFormat::Csv,
         "json" => SweepFormat::Json,
-        other => return fail(format!("bad --format `{other}` (expected csv|json)")),
+        other => return Err(format!("bad --format `{other}` (expected csv|json)")),
     };
-    let kinds: Vec<EvaluatorKind> = match evaluator_spec
+    let kinds: Vec<EvaluatorKind> = evaluator_spec
         .split(',')
         .map(|name| {
             EvaluatorKind::from_name(name)
                 .ok_or_else(|| format!("unknown evaluator `{name}`; try `busnet list`"))
         })
-        .collect()
-    {
-        Ok(kinds) => kinds,
-        Err(e) => return fail(e),
-    };
+        .collect::<Result<_, _>>()?;
 
-    let workloads = match parse_workload_flags(
-        hot_spot_spec.as_deref(),
-        weights_spec.as_deref(),
-        probs_spec.as_deref(),
-        burst_spec.as_deref(),
-    ) {
-        Ok(w) => w,
-        Err(e) => return fail(e),
-    };
-    let buses = match parse_u32_spec(&buses_spec) {
-        Ok(b) => b,
-        Err(e) => return fail(e),
-    };
-    let screen: Option<ScreenPlan> = match screen_spec.as_deref() {
+    let workloads = workloads?;
+    let buses = parse_u32_spec(buses_spec)?;
+    let screen: Option<ScreenPlan> = match screen_spec {
         None => None,
         Some("fluid") => {
             if !(screen_tol.is_finite() && screen_tol > 0.0) {
-                return fail(format!("bad --screen-tol `{screen_tol}` (expected > 0)"));
+                return Err(format!("bad --screen-tol `{screen_tol}` (expected > 0)"));
             }
             Some(ScreenPlan { tolerance: screen_tol, ..ScreenPlan::default() })
         }
-        Some(other) => return fail(format!("bad --screen `{other}` (expected fluid)")),
+        Some(other) => return Err(format!("bad --screen `{other}` (expected fluid)")),
     };
-    let Some(on_failure) = OnFailure::from_name(&on_failure_spec) else {
-        return fail(format!("bad --on-failure `{on_failure_spec}` (expected abort|skip|degrade)"));
-    };
-    let unit_budget = match unit_budget_spec.as_deref().map(parse_unit_budget).transpose() {
-        Ok(b) => b.flatten(),
-        Err(e) => return fail(e),
-    };
+    let supervisor = supervisor?;
     // Deterministic fault injection: an explicit `--fault-plan` wins,
     // else the `BUSNET_FAULT_PLAN` environment variable arms the same
     // sites (so CI chaos jobs can wrap unmodified invocations).
-    let faults = match fault_plan_spec.as_deref() {
-        Some(spec) => match FaultPlan::parse(spec) {
-            Ok(plan) => plan,
-            Err(e) => return fail(format!("bad --fault-plan `{spec}`: {e}")),
-        },
+    let faults = match fault_plan_spec {
+        Some(spec) => {
+            FaultPlan::parse(spec).map_err(|e| format!("bad --fault-plan `{spec}`: {e}"))?
+        }
         None => FaultPlan::from_env(),
     };
     if faults.is_some() {
@@ -932,7 +632,7 @@ fn run_sweep_cmd(args: &[String]) -> ExitCode {
         silence_injected_panics();
     }
     if resume && cache_dir_spec.is_none() {
-        return fail("--resume needs --cache-dir (the journal is the checkpoint)".to_owned());
+        return Err("--resume needs --cache-dir (the journal is the checkpoint)".to_owned());
     }
     // The evaluation memo cache: in-memory dedup is always on inside
     // `run_sweep_with`; `--cache-dir` additionally persists results to
@@ -942,12 +642,12 @@ fn run_sweep_cmd(args: &[String]) -> ExitCode {
     // from the journal and the sweep continues from the first missing
     // unit (a torn trailing line from a killed run is recovered on
     // load).
-    let cache = match &cache_dir_spec {
+    let cache = match cache_dir_spec {
         None => None,
-        Some(dir) => match EvalCache::with_dir_faulted(std::path::Path::new(dir), faults.clone()) {
-            Ok(cache) => Some(cache),
-            Err(e) => return fail(format!("cannot open --cache-dir `{dir}`: {e}")),
-        },
+        Some(dir) => Some(
+            EvalCache::with_dir_faulted(std::path::Path::new(dir), faults.clone())
+                .map_err(|e| format!("cannot open --cache-dir `{dir}`: {e}"))?,
+        ),
     };
     if resume {
         let loaded = cache.as_ref().map_or(0, |c| c.stats().loaded);
@@ -964,15 +664,11 @@ fn run_sweep_cmd(args: &[String]) -> ExitCode {
         .arbitrations(arbitrations)
         .workloads(workloads)
         .buses_values(buses);
-    let scenarios = match grid.scenarios() {
-        Ok(s) => s,
-        Err(e) => return fail(format!("invalid sweep point: {e}")),
-    };
+    let scenarios = grid.scenarios().map_err(|e| format!("invalid sweep point: {e}"))?;
 
-    let stopping = match ci_width_spec.as_deref().map(parse_ci_width).transpose() {
-        Ok(None) => Stopping::Fixed,
-        Ok(Some(ci_width)) => Stopping::Adaptive { ci_width, max_reps },
-        Err(e) => return fail(e),
+    let stopping = match ci_width_spec.map(parse_ci_width).transpose()? {
+        None => Stopping::Fixed,
+        Some(ci_width) => Stopping::Adaptive { ci_width, max_reps },
     };
 
     // The sweep scheduler fans out (scenario × evaluator × replication)
@@ -996,16 +692,10 @@ fn run_sweep_cmd(args: &[String]) -> ExitCode {
     // dominated large grids when stdout was a pipe).
     let stdout = std::io::stdout();
     let mut out = std::io::BufWriter::with_capacity(64 * 1024, stdout.lock());
+    let mut line = String::with_capacity(512);
     if format == SweepFormat::Csv {
-        writeln!(
-            out,
-            "n,m,r,p,policy,buffering,buffer_depth,arbitration,workload,evaluator,ebw,\
-             half_width_95,bus_utilization,memory_utilization,processor_efficiency,replications,\
-             fairness,mean_input_queue,input_full_fraction,blocked_completions,hot_ref_share,\
-             hot_module_utilization,hot_mean_input_queue,buses,screened,windows,status,attempts,\
-             degraded"
-        )
-        .expect("stdout closed");
+        row::csv_header(&row::SWEEP, &mut line);
+        writeln!(out, "{line}").expect("stdout closed");
     }
     // Live progress only when stderr is a terminal; piped stderr gets
     // just the skip reports and the final summary. Throttled to every
@@ -1016,7 +706,6 @@ fn run_sweep_cmd(args: &[String]) -> ExitCode {
     // The CLI always runs supervised: every work unit is isolated
     // behind `catch_unwind` with the retry/fallback policy, so a
     // single pathological point cannot take down the whole sweep.
-    let supervisor = Supervisor { max_retries, on_failure, unit_budget, ..Supervisor::default() };
     let options = SweepOptions {
         screen: screen.as_ref(),
         cache: cache.as_ref(),
@@ -1025,7 +714,7 @@ fn run_sweep_cmd(args: &[String]) -> ExitCode {
         ..SweepOptions::new(sweep_mode)
     };
     let records = run_sweep_with(&scenarios, &refs, &options, |done, total, record| {
-        emit_record(record, format, &mut out);
+        emit_record(record, format, &mut line, &mut out);
         if live_progress && (done % 16 == 0 || done == total) {
             eprint!("\r# {done}/{total} points");
         }
@@ -1071,14 +760,12 @@ fn run_sweep_cmd(args: &[String]) -> ExitCode {
         }
     }
     if failed > 0 {
-        eprintln!("# {failed} evaluation(s) failed hard");
-        return ExitCode::FAILURE;
+        return Err(format!("# {failed} evaluation(s) failed hard"));
     }
     if evaluated == 0 {
-        eprintln!("# no scenario/evaluator pair was in domain; nothing evaluated");
-        return ExitCode::FAILURE;
+        return Err("# no scenario/evaluator pair was in domain; nothing evaluated".to_owned());
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// The process-wide shutdown latch: flipped by SIGTERM/SIGINT, polled
@@ -1156,113 +843,54 @@ fn parse_endpoint(unix: Option<&str>, tcp: Option<&str>) -> Result<Endpoint, Str
 /// batching on a bounded pool, supervised execution), and drains
 /// gracefully on SIGTERM: in-flight batches finish and every owed
 /// reply is written before exit.
-fn run_serve(args: &[String]) -> ExitCode {
+fn run_serve(args: &[String]) -> Result<ExitCode, String> {
     let mut flags = Flags::new(args);
-    let unix_spec = flags.value("--unix").map(str::to_owned);
-    let tcp_spec = flags.value("--tcp").map(str::to_owned);
-    let cache_dir_spec = flags.value("--cache-dir").map(str::to_owned);
+    let unix_spec = flags.value("--unix");
+    let tcp_spec = flags.value("--tcp");
+    let cache_dir_spec = flags.value("--cache-dir");
     let threads: usize = flags.parse("--threads", 2);
     let queue_depth: usize = flags.parse("--queue-depth", 256);
-    let max_retries: u32 = flags.parse("--max-retries", 2);
-    let unit_budget_spec = flags.value("--unit-budget").map(str::to_owned);
-    let on_failure_spec = flags.value("--on-failure").unwrap_or("skip").to_owned();
-    if let Err(e) = flags.finish() {
-        eprintln!("{e}\nrun `busnet` without arguments for usage");
-        return ExitCode::FAILURE;
-    }
-    let fail = |msg: String| {
-        eprintln!("{msg}");
-        ExitCode::FAILURE
+    let supervisor = supervisor_flags(&mut flags);
+    flags.finish().map_err(usage_hint)?;
+    let endpoint = parse_endpoint(unix_spec, tcp_spec)?;
+    let supervisor = supervisor?;
+    let cache = match cache_dir_spec {
+        Some(dir) => EvalCache::with_dir(std::path::Path::new(dir))
+            .map_err(|e| format!("cannot open cache dir `{dir}`: {e}"))?,
+        None => EvalCache::new(),
     };
-    let endpoint = match parse_endpoint(unix_spec.as_deref(), tcp_spec.as_deref()) {
-        Ok(e) => e,
-        Err(e) => return fail(e),
-    };
-    let Some(on_failure) = OnFailure::from_name(&on_failure_spec) else {
-        return fail(format!("bad --on-failure `{on_failure_spec}` (expected abort|skip|degrade)"));
-    };
-    let unit_budget = match unit_budget_spec.as_deref().map(parse_unit_budget).transpose() {
-        Ok(b) => b.flatten(),
-        Err(e) => return fail(e),
-    };
-    let cache = match &cache_dir_spec {
-        Some(dir) => match EvalCache::with_dir(std::path::Path::new(dir)) {
-            Ok(cache) => std::sync::Arc::new(cache),
-            Err(e) => return fail(format!("cannot open cache dir `{dir}`: {e}")),
-        },
-        None => std::sync::Arc::new(EvalCache::new()),
-    };
-    let supervisor = Supervisor { max_retries, on_failure, unit_budget, ..Supervisor::default() };
     let broker = std::sync::Arc::new(Broker::new(
-        std::sync::Arc::clone(&cache),
+        std::sync::Arc::new(cache),
         BrokerConfig { threads, queue_depth, supervisor, mode: ExecutionMode::Serial },
     ));
     install_shutdown_handler();
 
-    // Accept loops are nonblocking so the SIGTERM latch is polled
-    // between accepts; each connection gets its own reader thread.
-    let poll = std::time::Duration::from_millis(25);
+    let nonblocking = |_| "cannot set the listener nonblocking".to_owned();
     match endpoint {
         Endpoint::Unix(path) => {
             let _ = std::fs::remove_file(&path);
-            let listener = match std::os::unix::net::UnixListener::bind(&path) {
-                Ok(l) => l,
-                Err(e) => return fail(format!("cannot bind unix socket `{path}`: {e}")),
-            };
-            if listener.set_nonblocking(true).is_err() {
-                return fail("cannot set the listener nonblocking".to_owned());
-            }
-            println!("# serving on unix:{path}");
-            let _ = std::io::stdout().flush();
-            while !SHUTDOWN.load(std::sync::atomic::Ordering::SeqCst) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let broker = std::sync::Arc::clone(&broker);
-                        let Ok(writer) = stream.try_clone() else { continue };
-                        std::thread::spawn(move || {
-                            serve_connection(stream, Box::new(writer), &broker);
-                        });
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(poll);
-                    }
-                    Err(e) => {
-                        eprintln!("# accept failed: {e}");
-                        std::thread::sleep(poll);
-                    }
-                }
-            }
+            let listener = std::os::unix::net::UnixListener::bind(&path)
+                .map_err(|e| format!("cannot bind unix socket `{path}`: {e}"))?;
+            listener.set_nonblocking(true).map_err(nonblocking)?;
+            accept_until_shutdown(
+                &broker,
+                &format!("unix:{path}"),
+                || listener.accept().map(|(s, _)| s),
+                |s| s.try_clone(),
+            );
             drop(listener);
             let _ = std::fs::remove_file(&path);
         }
         Endpoint::Tcp(addr) => {
-            let listener = match std::net::TcpListener::bind(&addr) {
-                Ok(l) => l,
-                Err(e) => return fail(format!("cannot bind tcp address `{addr}`: {e}")),
-            };
-            if listener.set_nonblocking(true).is_err() {
-                return fail("cannot set the listener nonblocking".to_owned());
-            }
-            println!("# serving on tcp:{addr}");
-            let _ = std::io::stdout().flush();
-            while !SHUTDOWN.load(std::sync::atomic::Ordering::SeqCst) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let broker = std::sync::Arc::clone(&broker);
-                        let Ok(writer) = stream.try_clone() else { continue };
-                        std::thread::spawn(move || {
-                            serve_connection(stream, Box::new(writer), &broker);
-                        });
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(poll);
-                    }
-                    Err(e) => {
-                        eprintln!("# accept failed: {e}");
-                        std::thread::sleep(poll);
-                    }
-                }
-            }
+            let listener = std::net::TcpListener::bind(&addr)
+                .map_err(|e| format!("cannot bind tcp address `{addr}`: {e}"))?;
+            listener.set_nonblocking(true).map_err(nonblocking)?;
+            accept_until_shutdown(
+                &broker,
+                &format!("tcp:{addr}"),
+                || listener.accept().map(|(s, _)| s),
+                |s| s.try_clone(),
+            );
         }
     }
     // Graceful drain: flush pending points through their batches and
@@ -1275,33 +903,51 @@ fn run_serve(args: &[String]) -> ExitCode {
         "# served {} request(s): {} evaluated, {} coalesced, {} cache replies, {} shed",
         c.requests, c.evaluated, c.coalesced, c.cache_replies, c.overloaded
     );
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
+}
+
+/// The serve accept loop on the listener at `label`: runs until the
+/// SIGTERM latch flips, giving each accepted connection its own reader
+/// thread (and `try_clone`'s copy of the stream as its reply writer).
+/// `accept` is nonblocking so the latch is polled between accepts.
+fn accept_until_shutdown<S: std::io::Read + Write + Send + 'static>(
+    broker: &std::sync::Arc<Broker>,
+    label: &str,
+    accept: impl Fn() -> std::io::Result<S>,
+    try_clone: impl Fn(&S) -> std::io::Result<S>,
+) {
+    println!("# serving on {label}");
+    let _ = std::io::stdout().flush();
+    let poll = std::time::Duration::from_millis(25);
+    while !SHUTDOWN.load(std::sync::atomic::Ordering::SeqCst) {
+        match accept() {
+            Ok(stream) => {
+                let broker = std::sync::Arc::clone(broker);
+                let Ok(writer) = try_clone(&stream) else { continue };
+                std::thread::spawn(move || serve_connection(stream, Box::new(writer), &broker));
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => std::thread::sleep(poll),
+            Err(e) => {
+                eprintln!("# accept failed: {e}");
+                std::thread::sleep(poll);
+            }
+        }
+    }
 }
 
 /// `busnet request`: a line-oriented client for `busnet serve`. Sends
 /// every nonempty stdin line as a request, half-closes the write side,
 /// and copies reply lines to stdout until the server has answered them
 /// all (the connection closes once the last owed reply is written).
-fn run_request(args: &[String]) -> ExitCode {
+fn run_request(args: &[String]) -> Result<ExitCode, String> {
     let mut flags = Flags::new(args);
-    let unix_spec = flags.value("--unix").map(str::to_owned);
-    let tcp_spec = flags.value("--tcp").map(str::to_owned);
-    if let Err(e) = flags.finish() {
-        eprintln!("{e}\nrun `busnet` without arguments for usage");
-        return ExitCode::FAILURE;
-    }
-    let fail = |msg: String| {
-        eprintln!("{msg}");
-        ExitCode::FAILURE
-    };
-    let endpoint = match parse_endpoint(unix_spec.as_deref(), tcp_spec.as_deref()) {
-        Ok(e) => e,
-        Err(e) => return fail(e),
-    };
+    let unix_spec = flags.value("--unix");
+    let tcp_spec = flags.value("--tcp");
+    flags.finish().map_err(usage_hint)?;
     fn roundtrip(
         mut write_half: impl Write,
         read_half: impl std::io::Read,
-        half_close: impl FnOnce(),
+        half_close: impl FnOnce() -> std::io::Result<()>,
     ) -> std::io::Result<()> {
         use std::io::BufRead;
         let stdin = std::io::stdin();
@@ -1316,7 +962,7 @@ fn run_request(args: &[String]) -> ExitCode {
         }
         write_half.write_all(batch.as_bytes())?;
         write_half.flush()?;
-        half_close();
+        let _ = half_close();
         let stdout = std::io::stdout();
         let mut out = stdout.lock();
         for reply in std::io::BufReader::new(read_half).lines() {
@@ -1326,40 +972,20 @@ fn run_request(args: &[String]) -> ExitCode {
         }
         out.flush()
     }
-    let result = match endpoint {
-        Endpoint::Unix(path) => match std::os::unix::net::UnixStream::connect(&path) {
-            Ok(stream) => match stream.try_clone() {
-                Ok(writer) => {
-                    let closer = stream.try_clone();
-                    roundtrip(writer, stream, move || {
-                        if let Ok(s) = closer {
-                            let _ = s.shutdown(std::net::Shutdown::Write);
-                        }
-                    })
-                }
-                Err(e) => Err(e),
-            },
-            Err(e) => return fail(format!("cannot connect to unix socket `{path}`: {e}")),
-        },
-        Endpoint::Tcp(addr) => match std::net::TcpStream::connect(&addr) {
-            Ok(stream) => match stream.try_clone() {
-                Ok(writer) => {
-                    let closer = stream.try_clone();
-                    roundtrip(writer, stream, move || {
-                        if let Ok(s) = closer {
-                            let _ = s.shutdown(std::net::Shutdown::Write);
-                        }
-                    })
-                }
-                Err(e) => Err(e),
-            },
-            Err(e) => return fail(format!("cannot connect to `{addr}`: {e}")),
-        },
+    let write_close = std::net::Shutdown::Write;
+    let result = match parse_endpoint(unix_spec, tcp_spec)? {
+        Endpoint::Unix(path) => {
+            let stream = std::os::unix::net::UnixStream::connect(&path)
+                .map_err(|e| format!("cannot connect to unix socket `{path}`: {e}"))?;
+            roundtrip(&stream, &stream, || stream.shutdown(write_close))
+        }
+        Endpoint::Tcp(addr) => {
+            let stream = std::net::TcpStream::connect(&addr)
+                .map_err(|e| format!("cannot connect to `{addr}`: {e}"))?;
+            roundtrip(&stream, &stream, || stream.shutdown(write_close))
+        }
     };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => fail(format!("request round trip failed: {e}")),
-    }
+    result.map(|()| ExitCode::SUCCESS).map_err(|e| format!("request round trip failed: {e}"))
 }
 
 /// A fast sanity pass for CI: a handful of Table 3/4-style points on

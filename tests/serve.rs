@@ -9,13 +9,19 @@
 //!   earn structured error replies without panicking the server or
 //!   dropping the connection;
 //! * SIGTERM drains in-flight work — owed replies are written before
-//!   the process exits cleanly.
+//!   the process exits cleanly;
+//! * a workload spec is parsed by the same code, with the same error
+//!   text, whether it arrives as a `busnet sim` flag or in a request;
+//! * truncated and mutated request lines never panic the parser.
 
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
+
+use busnet::core::serve::{parse_request, Request};
+use proptest::prelude::*;
 
 /// A serve process bound to a private Unix socket; killed (and its
 /// socket removed) on drop so a failing test never leaks a server.
@@ -251,4 +257,84 @@ fn cache_dir_replays_across_server_restarts() {
     assert!(reply.contains("\"evaluator_calls\":0"), "warm start evaluates nothing: {reply}");
     assert!(server.terminate().success());
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An invalid workload spec earns the same message from `busnet sim`
+/// (first stderr line) and from the serve protocol (the `error` field),
+/// for every workload flag.
+#[test]
+fn invalid_workloads_fail_alike_on_the_cli_and_in_serve() {
+    let server = Server::spawn("workloads", &[]);
+    let mut client = server.connect();
+    let cases = [
+        ("hot-spot", "1.5"),
+        ("hot-spot", "0.2@x"),
+        ("module-weights", "1,a"),
+        ("think-probs", "1,2"),
+        ("burst", "0.9:0.05"),
+    ];
+    for (flag, value) in cases {
+        let cli = Command::new(env!("CARGO_BIN_EXE_busnet"))
+            .args(["sim", "--n", "4", "--m", "4", "--r", "2", &format!("--{flag}"), value])
+            .output()
+            .expect("runs busnet sim");
+        assert!(!cli.status.success(), "--{flag} {value} is rejected");
+        let stderr = String::from_utf8(cli.stderr).expect("utf-8 stderr");
+        let message = stderr.lines().next().expect("an error line");
+        client.send(&format!(
+            r#"{{"id":7,"scenario":{{"n":4,"m":4,"r":2,"workload":"{flag}:{value}"}}}}"#
+        ));
+        let reply = client.reply();
+        assert_eq!(status_of(&reply), "error", "{reply}");
+        assert!(reply.ends_with(&format!(r#""error":"{message}"}}"#)), "{message} vs {reply}");
+    }
+    assert!(server.terminate().success());
+}
+
+/// Valid request lines the robustness property mutates, covering every
+/// request field and each workload form.
+const VALID_LINES: [&str; 6] = [
+    r#"{"id":"c1-7","scenario":{"n":8,"m":16,"r":8,"p":0.5,"policy":"mem","buffering":"buffered","arbitration":"lru","buses":1},"evaluator":"pfqn","budget":{"replications":2,"cycles":10000,"seed":7,"engine":"event","ci_width":0.05,"max_reps":4},"max_retries":1,"on_failure":"degrade","unit_budget":{"events":100000,"millis":50}}"#,
+    r#"{"id":1,"scenario":{"n":8,"m":16,"r":8,"workload":"hot-spot:0.2@0"},"evaluator":"sim"}"#,
+    r#"{"id":2,"scenario":{"n":4,"m":4,"r":2,"workload":"module-weights:4,2,1,1"}}"#,
+    r#"{"id":3,"scenario":{"n":4,"m":4,"r":2,"workload":"think-probs:1,0.5,0.5,0.25"}}"#,
+    r#"{"id":4,"scenario":{"n":4,"m":4,"r":2,"workload":"burst:0.9:0.05:0.9:500:0.5@0"}}"#,
+    r#"{"id":5,"op":"stats"}"#,
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// Truncated and byte-mutated request lines never panic the parser:
+    /// each yields a request or a structured error reply.
+    #[test]
+    fn parse_request_survives_truncation_and_mutation(
+        which in 0usize..VALID_LINES.len(),
+        keep in 0usize..400,
+        mutations in 0usize..4,
+        at in 0usize..400,
+        byte in 0u32..256,
+        stride in 1usize..64,
+    ) {
+        let mut bytes = VALID_LINES[which].as_bytes().to_vec();
+        for k in 0..mutations {
+            let pos = (at + k * stride) % bytes.len();
+            bytes[pos] = (byte as usize + k * 37) as u8;
+        }
+        bytes.truncate(keep);
+        let line = String::from_utf8_lossy(&bytes);
+        let parsed = std::panic::catch_unwind(|| parse_request(&line));
+        match parsed {
+            Ok(Ok(Request::Eval(_) | Request::Stats { .. })) => {}
+            Ok(Err(err)) => {
+                let reply = err.line();
+                prop_assert!(
+                    reply.starts_with(&format!("{{\"id\":{},\"status\":\"error\",\"error\":\"", err.id))
+                        && reply.ends_with("\"}"),
+                    "unstructured error reply `{reply}` for `{line}`"
+                );
+            }
+            Err(_) => panic!("parse_request panicked on `{line}`"),
+        }
+    }
 }
