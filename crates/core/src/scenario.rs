@@ -415,8 +415,8 @@ pub trait Evaluator: Send + Sync {
     }
 
     /// Evaluates one unit warm-started from a cheap external EBW
-    /// estimate (the fluid screening pre-pass of
-    /// [`run_sweep_screened`]). The default ignores the prior;
+    /// estimate (the fluid screening pre-pass,
+    /// [`SweepOptions::screen`]). The default ignores the prior;
     /// [`BusSimEval`] threads it into its adaptive stopping rule.
     ///
     /// # Errors
@@ -2070,8 +2070,8 @@ impl SweepRecord {
     }
 }
 
-/// The opt-in fluid screening pre-pass of [`run_sweep_screened`]
-/// (`busnet sweep --screen fluid`).
+/// The opt-in fluid screening pre-pass of [`run_sweep_with`]
+/// ([`SweepOptions::screen`]; `busnet sweep --screen fluid`).
 ///
 /// Every grid point is first solved with the fluid mean-field model
 /// (microseconds, O(1) in `n`). A *screenable* pair (see
@@ -2351,26 +2351,6 @@ pub fn run_sweep(
     on_record: impl FnMut(usize, usize, &SweepRecord),
 ) -> Vec<SweepRecord> {
     run_sweep_with(scenarios, evaluators, &SweepOptions::new(mode), on_record)
-}
-
-/// [`run_sweep`] with an optional fluid screening pre-pass (see
-/// [`ScreenPlan`]): screened pairs skip simulation entirely and carry
-/// the validated fluid prediction; seedable pairs warm-start their
-/// adaptive stopping rule with it. `screen: None` is exactly
-/// [`run_sweep`].
-pub fn run_sweep_screened(
-    scenarios: &[Scenario],
-    evaluators: &[&dyn Evaluator],
-    mode: ExecutionMode,
-    screen: Option<&ScreenPlan>,
-    on_record: impl FnMut(usize, usize, &SweepRecord),
-) -> Vec<SweepRecord> {
-    run_sweep_with(
-        scenarios,
-        evaluators,
-        &SweepOptions { screen, ..SweepOptions::new(mode) },
-        on_record,
-    )
 }
 
 /// Amortization and execution controls of [`run_sweep_with`]. The

@@ -21,7 +21,6 @@
 //! busnet sweep --n 1..64 --evaluator pfqn --cache-dir .busnet-cache
 //! busnet serve --unix /tmp/busnet.sock --cache-dir .busnet-cache --threads 4
 //! busnet request --unix /tmp/busnet.sock < requests.jsonl
-//! busnet bench-sweep [--out BENCH_sweep.json] [--engine cycle|event] [--smoke]
 //! ```
 
 use std::collections::HashSet;
@@ -37,15 +36,14 @@ use busnet::core::params::{
 };
 use busnet::core::row::{self, Row};
 use busnet::core::scenario::{
-    run_sweep, run_sweep_screened, run_sweep_with, Evaluator, EvaluatorKind, OnFailure,
-    PfqnAlgorithm, PfqnEval, ScenarioGrid, ScreenPlan, SimBudget, Stopping, Supervisor,
-    SweepOptions, SweepRecord, UnitStatus, ALL_EVALUATOR_KINDS,
+    run_sweep_with, Evaluator, EvaluatorKind, OnFailure, ScenarioGrid, ScreenPlan, SimBudget,
+    Stopping, Supervisor, SweepOptions, SweepRecord, UnitStatus, ALL_EVALUATOR_KINDS,
 };
 use busnet::core::serve::{parse_request, Broker, BrokerConfig, ReplySink, Request};
 use busnet::core::sim::bus::{AdaptiveOutcome, AdaptivePlan, BusSimBuilder, UnitBudget};
 use busnet::core::CoreError;
 use busnet::report::experiments::{Effort, ExperimentId, ALL_EXPERIMENTS};
-use busnet::sim::event::{EngineKind, EventQueue, HeapEventQueue};
+use busnet::sim::event::EngineKind;
 use busnet::sim::exec::ExecutionMode;
 use busnet::sim::fault::{silence_injected_panics, FaultPlan};
 use busnet::sim::sink::LineSink;
@@ -53,27 +51,16 @@ use busnet::sim::sink::LineSink;
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("list") => {
-            println!("available experiments:");
-            for id in ALL_EXPERIMENTS {
-                println!("  {}", id.name());
-            }
-            println!("available evaluators (for `sweep --evaluator`):");
-            for kind in ALL_EVALUATOR_KINDS {
-                println!("  {}", kind.name());
-            }
-            ExitCode::SUCCESS
-        }
-        Some("run") => run_experiments(&args[1..]),
+        Some("list") => exit_code(run_list(&args[1..])),
+        Some("run") => exit_code(run_experiments(&args[1..])),
         Some("sim") => exit_code(run_sim(&args[1..])),
         Some("sweep") => exit_code(run_sweep_cmd(&args[1..])),
         Some("serve") => exit_code(run_serve(&args[1..])),
         Some("request") => exit_code(run_request(&args[1..])),
-        Some("bench-sweep") => run_bench_sweep(&args[1..]),
         _ => {
             eprintln!(
                 "usage: busnet <list | run <experiment|all> [--quick] | sim ... | sweep ... | \
-                 bench-sweep [--out FILE] [--engine cycle|event] [--smoke]>\n\
+                 serve ... | request ...>\n\
                  \n\
                  sim   --n N --m M --r R [--p P] [--buffered] [--buffer-depth K|inf]\n      \
                  [--memory-priority] [--seed S] [--cycles C] [--warmup W]\n      \
@@ -115,39 +102,45 @@ fn exit_code(result: Result<ExitCode, String>) -> ExitCode {
     })
 }
 
-/// Appended to a flag error of `sim`, `sweep`, `serve` and `request`.
+/// Appended to a flag error of every subcommand.
 fn usage_hint(e: String) -> String {
     format!("{e}\nrun `busnet` without arguments for usage")
 }
 
-fn run_experiments(args: &[String]) -> ExitCode {
+fn run_list(args: &[String]) -> Result<ExitCode, String> {
+    Flags::new(args).finish().map_err(usage_hint)?;
+    println!("available experiments:");
+    for id in ALL_EXPERIMENTS {
+        println!("  {}", id.name());
+    }
+    println!("available evaluators (for `sweep --evaluator`):");
+    for kind in ALL_EVALUATOR_KINDS {
+        println!("  {}", kind.name());
+    }
+    Ok(ExitCode::SUCCESS)
+}
+
+fn run_experiments(args: &[String]) -> Result<ExitCode, String> {
     let Some(which) = args.first() else {
-        eprintln!("usage: busnet run <experiment|all> [--quick]");
-        return ExitCode::FAILURE;
+        return Err("usage: busnet run <experiment|all> [--quick]".to_owned());
     };
-    let effort = if args.iter().any(|a| a == "--quick") { Effort::Quick } else { Effort::Paper };
     let ids: Vec<ExperimentId> = if which == "all" {
         ALL_EXPERIMENTS.to_vec()
     } else {
-        match ExperimentId::from_name(which) {
-            Some(id) => vec![id],
-            None => {
-                eprintln!("unknown experiment `{which}`; try `busnet list`");
-                return ExitCode::FAILURE;
-            }
-        }
+        let id = ExperimentId::from_name(which)
+            .ok_or_else(|| format!("unknown experiment `{which}`; try `busnet list`"))?;
+        vec![id]
     };
+    let mut flags = Flags::new(&args[1..]);
+    let effort = if flags.switch("--quick") { Effort::Quick } else { Effort::Paper };
+    flags.finish().map_err(usage_hint)?;
     for id in ids {
         println!("================ {} ================", id.name());
-        match id.run_rendered(effort) {
-            Ok(text) => println!("{text}"),
-            Err(e) => {
-                eprintln!("experiment {} failed: {e}", id.name());
-                return ExitCode::FAILURE;
-            }
-        }
+        let text =
+            id.run_rendered(effort).map_err(|e| format!("experiment {} failed: {e}", id.name()))?;
+        println!("{text}");
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Strict flag cursor: every flag must be known, every value must
@@ -986,902 +979,4 @@ fn run_request(args: &[String]) -> Result<ExitCode, String> {
         }
     };
     result.map(|()| ExitCode::SUCCESS).map_err(|e| format!("request round trip failed: {e}"))
-}
-
-/// A fast sanity pass for CI: a handful of Table 3/4-style points on
-/// the event engine, gated by a pinned **event budget** per scenario —
-/// a portable proxy for wall-clock regressions. The event engine
-/// executes O(activity) events (≈ 4 per round trip plus think timers
-/// and blocked-service rechecks); a regression that reintroduces
-/// per-idle-cycle work blows the budget by ~`(r + 2)/p`×.
-fn run_bench_smoke() -> ExitCode {
-    let grid = ScenarioGrid::new()
-        .n_values([8])
-        .m_values([8, 16])
-        .r_values([8, 24])
-        .p_values([0.2, 1.0])
-        .bufferings([Buffering::Unbuffered, Buffering::Buffered]);
-    let scenarios = grid.scenarios().expect("static grid is valid");
-    let mut failures = 0u32;
-    for scenario in &scenarios {
-        let report = BusSimBuilder::new(scenario.params)
-            .buffering(scenario.buffering)
-            .engine(EngineKind::Event)
-            .seed(0x5EED)
-            .warmup_cycles(1_000)
-            .measure_cycles(10_000)
-            .run();
-        // Returns are measured-window only; scale to the whole run and
-        // allow 8 events per return (4 needed + headroom for blocked
-        // rechecks), plus per-entity slack for dropped think timers.
-        let total = 1_000 + 10_000u64;
-        let scaled_returns = report.returns * total / report.measured_cycles;
-        let budget = 8 * scaled_returns + 4 * u64::from(scenario.params.n()) + 64;
-        let ok = report.events <= budget;
-        println!(
-            "# smoke {}: events {} budget {budget} returns {} -> {}",
-            scenario.label(),
-            report.events,
-            report.returns,
-            if ok { "ok" } else { "OVER BUDGET" },
-        );
-        if !ok {
-            failures += 1;
-        }
-    }
-    if failures > 0 {
-        eprintln!("# smoke: {failures} scenario(s) exceeded the pinned event budget");
-        return ExitCode::FAILURE;
-    }
-    println!("# smoke: all {} scenarios within the event budget", scenarios.len());
-
-    // Screening slice: the fluid pre-pass must keep saving simulated
-    // events on the Table 3-4 grid (with its p axis) at equal CI width.
-    let screen_grid = ScenarioGrid::new()
-        .n_values([8])
-        .m_values([8, 16])
-        .r_values([8])
-        .p_values([0.2, 1.0])
-        .bufferings([Buffering::Unbuffered, Buffering::Buffered])
-        .scenarios()
-        .expect("static grid is valid");
-    let screen_budget = SimBudget {
-        replications: 2,
-        warmup: 1_000,
-        measure: 10_000,
-        master_seed: 0x5EED,
-        mode: ExecutionMode::Serial,
-        engine: EngineKind::Event,
-        stopping: Stopping::Fixed,
-    }
-    .with_ci_width(0.05, 8);
-    let screen_sim = busnet::core::scenario::BusSimEval::new(screen_budget);
-    let screen_evaluators: [&dyn Evaluator; 1] = [&screen_sim];
-    let plain = run_sweep(&screen_grid, &screen_evaluators, ExecutionMode::Serial, |_, _, _| {});
-    let screened = run_sweep_screened(
-        &screen_grid,
-        &screen_evaluators,
-        ExecutionMode::Serial,
-        Some(&ScreenPlan::default()),
-        |_, _, _| {},
-    );
-    let events = |records: &[SweepRecord]| -> u64 {
-        records.iter().filter_map(|r| r.result.as_ref().ok().map(|e| e.simulated_events())).sum()
-    };
-    let plain_events = events(&plain);
-    let screened_events = events(&screened);
-    let screened_points = screened.iter().filter(|r| r.screened).count();
-    let savings = 1.0 - screened_events as f64 / plain_events as f64;
-    println!(
-        "# smoke screening: {screened_points}/{} points screened, {plain_events} -> \
-         {screened_events} events ({:.1}% fewer)",
-        screen_grid.len(),
-        savings * 100.0
-    );
-    if screened_points == 0 || savings < 0.25 {
-        eprintln!(
-            "# smoke: fluid screening saved only {:.1}% (< 25%) of simulated events",
-            savings * 100.0
-        );
-        return ExitCode::FAILURE;
-    }
-
-    // Amortization slice: the population-axis sweep must do O(R)
-    // recursion steps (one warm-started solver pass), not the scratch
-    // triangle R(R+1)/2. Serial mode keeps every solver call on this
-    // thread, where the thread-local iteration counter meters exactly.
-    let r = 64u32;
-    let amort_grid = ScenarioGrid::new()
-        .n_values((1..=r).collect::<Vec<_>>())
-        .m_values([8])
-        .r_values([8])
-        .bufferings([Buffering::Buffered])
-        .scenarios()
-        .expect("static grid is valid");
-    let mva = PfqnEval { algorithm: PfqnAlgorithm::Mva };
-    let amort_evaluators: [&dyn Evaluator; 1] = [&mva];
-    let meter = |options: &SweepOptions| -> u64 {
-        let before = busnet::queueing::solver_iterations();
-        run_sweep_with(&amort_grid, &amort_evaluators, options, |_, _, _| {});
-        busnet::queueing::solver_iterations() - before
-    };
-    let incremental = meter(&SweepOptions::new(ExecutionMode::Serial));
-    let scratch = meter(&SweepOptions {
-        group_incremental: false,
-        ..SweepOptions::new(ExecutionMode::Serial)
-    });
-    let triangle = u64::from(r) * u64::from(r + 1) / 2;
-    println!(
-        "# smoke amortization: R={r} population sweep, incremental {incremental} solver \
-         iterations vs scratch {scratch} (triangle {triangle})"
-    );
-    if incremental != u64::from(r) || scratch != triangle {
-        eprintln!(
-            "# smoke: incremental sweep did {incremental} solver iterations (want {r}), \
-             scratch did {scratch} (want {triangle})"
-        );
-        return ExitCode::FAILURE;
-    }
-
-    // Cache slice: a warm re-run of a simulated sweep must replay every
-    // record from the memo cache — zero evaluator calls, zero events.
-    let cache_grid = ScenarioGrid::new()
-        .n_values([4, 8])
-        .m_values([8])
-        .r_values([8])
-        .bufferings([Buffering::Unbuffered, Buffering::Buffered])
-        .scenarios()
-        .expect("static grid is valid");
-    let cache_sim = busnet::core::scenario::BusSimEval::new(SimBudget {
-        replications: 2,
-        warmup: 1_000,
-        measure: 10_000,
-        master_seed: 0x5EED,
-        mode: ExecutionMode::Serial,
-        engine: EngineKind::Event,
-        stopping: Stopping::Fixed,
-    });
-    let cache_evaluators: [&dyn Evaluator; 1] = [&cache_sim];
-    let cache = EvalCache::new();
-    let cached_options =
-        SweepOptions { cache: Some(&cache), ..SweepOptions::new(ExecutionMode::Serial) };
-    let cold = run_sweep_with(&cache_grid, &cache_evaluators, &cached_options, |_, _, _| {});
-    let misses_after_cold = cache.stats().misses;
-    let warm = run_sweep_with(&cache_grid, &cache_evaluators, &cached_options, |_, _, _| {});
-    let cold_events = events(&cold);
-    let replayed = warm.iter().filter(|r| r.cached).count();
-    println!(
-        "# smoke cache: cold run simulated {cold_events} events across {} pairs; warm re-run \
-         replayed {replayed} record(s) with {} evaluator call(s)",
-        cold.len(),
-        cache.stats().misses - misses_after_cold
-    );
-    if replayed != warm.len() || cache.stats().misses != misses_after_cold {
-        eprintln!("# smoke: warm cached re-run was not a full replay");
-        return ExitCode::FAILURE;
-    }
-
-    // MMPP slice: phase boundaries add O(cycles / dwell) work, not
-    // per-cycle work, so bursty event throughput (events/second) must
-    // stay within 15% of the stationary baseline on the same grid. The
-    // gate reads the median of interleaved per-pair ratios.
-    let mmpp_slice = |workloads: Vec<Workload>| -> (f64, u64) {
-        let slice = ScenarioGrid::new()
-            .n_values([8])
-            .m_values([8, 16])
-            .r_values([8])
-            .p_values([1.0])
-            .bufferings([Buffering::Unbuffered, Buffering::Buffered])
-            .workloads(workloads)
-            .scenarios()
-            .expect("static grid is valid");
-        let sim = busnet::core::scenario::BusSimEval::new(SimBudget {
-            replications: 2,
-            warmup: 1_000,
-            measure: 50_000,
-            master_seed: 0x5EED,
-            mode: ExecutionMode::Serial,
-            engine: EngineKind::Event,
-            stopping: Stopping::Fixed,
-        });
-        let evaluators: [&dyn Evaluator; 1] = [&sim];
-        let start = Instant::now();
-        let records = run_sweep(&slice, &evaluators, ExecutionMode::Serial, |_, _, _| {});
-        (start.elapsed().as_secs_f64(), events(&records))
-    };
-    let burst = Workload::on_off_burst(1.0, 0.1, 0.9, 500, None).expect("valid burst");
-    let (mut stationary_events, mut bursty_events) = (0, 0);
-    let mmpp_ratios = interleaved_ratios(
-        || {
-            let (secs, events) = mmpp_slice(vec![Workload::Uniform]);
-            stationary_events = events;
-            events as f64 / secs
-        },
-        || {
-            let (secs, events) = mmpp_slice(vec![burst.clone()]);
-            bursty_events = events;
-            events as f64 / secs
-        },
-    );
-    let mmpp_ratio = mmpp_ratios[mmpp_ratios.len() / 2];
-    println!(
-        "# smoke mmpp: stationary {stationary_events} events, bursty {bursty_events} events, \
-         {} interleaved pairs -> median {mmpp_ratio:.2}x event throughput (pair range \
-         {:.2}x..{:.2}x)",
-        mmpp_ratios.len(),
-        mmpp_ratios[0],
-        mmpp_ratios[mmpp_ratios.len() - 1],
-    );
-    if mmpp_ratio < 0.85 {
-        eprintln!(
-            "# smoke: bursty event throughput {mmpp_ratio:.2}x of stationary (< 0.85x floor)"
-        );
-        return ExitCode::FAILURE;
-    }
-
-    // Supervision slice: the per-unit catch_unwind + retry/budget
-    // plumbing must be bit-invisible in the results and cost <= 5%
-    // event throughput on the Table 3-4 smoke grid, read as the median
-    // of interleaved per-pair time ratios.
-    let sup_grid = ScenarioGrid::new()
-        .n_values([8])
-        .m_values([8, 16])
-        .r_values([8])
-        .p_values([0.2, 1.0])
-        .bufferings([Buffering::Unbuffered, Buffering::Buffered])
-        .scenarios()
-        .expect("static grid is valid");
-    let sup_sim = busnet::core::scenario::BusSimEval::new(SimBudget {
-        replications: 2,
-        warmup: 1_000,
-        measure: 50_000,
-        master_seed: 0x5EED,
-        mode: ExecutionMode::Serial,
-        engine: EngineKind::Event,
-        stopping: Stopping::Fixed,
-    });
-    let sup_evaluators: [&dyn Evaluator; 1] = [&sup_sim];
-    let supervisor = Supervisor::default();
-    let time_supervised = |supervise: bool| -> (f64, Vec<SweepRecord>) {
-        let options = SweepOptions {
-            supervise: supervise.then_some(&supervisor),
-            ..SweepOptions::new(ExecutionMode::Serial)
-        };
-        let start = Instant::now();
-        let records = run_sweep_with(&sup_grid, &sup_evaluators, &options, |_, _, _| {});
-        (start.elapsed().as_secs_f64(), records)
-    };
-    let (mut bare_records, mut sup_records) = (Vec::new(), Vec::new());
-    let (mut bare_total, mut sup_total) = (0.0, 0.0);
-    let ratios = interleaved_ratios(
-        || {
-            let (secs, records) = time_supervised(false);
-            (bare_records, bare_total) = (records, bare_total + secs);
-            secs
-        },
-        || {
-            let (secs, records) = time_supervised(true);
-            (sup_records, sup_total) = (records, sup_total + secs);
-            secs
-        },
-    );
-    let sup_identical = bare_records
-        .iter()
-        .zip(&sup_records)
-        .all(|(a, b)| matches!((&a.result, &b.result), (Ok(x), Ok(y)) if x == y));
-    let sup_overhead = ratios[ratios.len() / 2] - 1.0;
-    let pairs = ratios.len() as f64;
-    println!(
-        "# smoke supervised_vs_bare: bare {:.3}s, supervised {:.3}s (mean of {pairs} \
-         interleaved pairs) -> median {:.1}% overhead (pair range {:.1}%..{:.1}%), \
-         bit-identical: {sup_identical}",
-        bare_total / pairs,
-        sup_total / pairs,
-        sup_overhead * 100.0,
-        (ratios[0] - 1.0) * 100.0,
-        (ratios[ratios.len() - 1] - 1.0) * 100.0,
-    );
-    if !sup_identical {
-        eprintln!("# smoke: supervised sweep was not bit-identical to the bare sweep");
-        return ExitCode::FAILURE;
-    }
-    if sup_overhead > 0.05 {
-        eprintln!(
-            "# smoke: supervision overhead {:.1}% exceeds the 5% throughput budget",
-            sup_overhead * 100.0
-        );
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
-}
-
-/// Measures `a` and `b` in interleaved pairs, flipping which runs first
-/// every pair, and returns the per-pair ratios `b / a`, sorted; the
-/// count is odd, so the median is the middle entry. Noise or drift
-/// that hits a minority of the pairs cannot move the median far, while
-/// it can swing a one-sided best-of-N of either side.
-fn interleaved_ratios(mut a: impl FnMut() -> f64, mut b: impl FnMut() -> f64) -> Vec<f64> {
-    const PAIRS: usize = 21;
-    let mut ratios: Vec<f64> = (0..PAIRS)
-        .map(|pair| {
-            if pair % 2 == 0 {
-                let first = a();
-                b() / first
-            } else {
-                let second = b();
-                second / a()
-            }
-        })
-        .collect();
-    ratios.sort_by(f64::total_cmp);
-    ratios
-}
-
-/// Times `ops` schedule/pop churn cycles on an event queue, returning
-/// seconds. Each op pops one event and schedules a replacement at a
-/// pseudo-random delta within `horizon`.
-fn time_queue_churn<Q>(
-    queue: &mut Q,
-    ops: u64,
-    horizon: u64,
-    schedule: fn(&mut Q, u64),
-    pop: fn(&mut Q) -> u64,
-) -> f64 {
-    let mut state = 0x9E37_79B9u64;
-    let mut now = 0u64;
-    // Seed a small pending population.
-    for _ in 0..32 {
-        state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
-        schedule(queue, now + (state >> 33) % horizon);
-    }
-    let start = Instant::now();
-    for _ in 0..ops {
-        now = pop(queue);
-        state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
-        schedule(queue, now + (state >> 33) % horizon);
-    }
-    start.elapsed().as_secs_f64()
-}
-
-/// Fixed 32-point sweep timed serial vs parallel (on the engine chosen
-/// with `--engine`), plus an event-vs-cycle engine comparison on a
-/// large-`r`, low-`p` slice — the regime the event kernel exists for —
-/// a timing-wheel vs binary-heap queue microbench, and an adaptive
-/// (`--ci-width`) vs fixed-replication event-cost comparison at the
-/// Table 3–4 points. Writes the JSON baseline consumed by
-/// BENCH_sweep.json. `--smoke` instead runs the fast CI sanity pass
-/// with a pinned per-scenario event budget.
-fn run_bench_sweep(args: &[String]) -> ExitCode {
-    let mut flags = Flags::new(args);
-    let out: String = flags.parse("--out", "BENCH_sweep.json".to_owned());
-    let engine_spec = flags.value("--engine").unwrap_or("cycle").to_owned();
-    let smoke = flags.switch("--smoke");
-    if let Err(e) = flags.finish() {
-        eprintln!("{e}\nusage: busnet bench-sweep [--out FILE] [--engine cycle|event] [--smoke]");
-        return ExitCode::FAILURE;
-    }
-    if smoke {
-        return run_bench_smoke();
-    }
-    let Some(engine) = EngineKind::from_name(&engine_spec) else {
-        eprintln!("bad --engine `{engine_spec}` (expected cycle|event)");
-        return ExitCode::FAILURE;
-    };
-
-    // 32 points: m x r x buffering at n = 8 — the Table 3/4 style grid.
-    let grid = ScenarioGrid::new()
-        .n_values([8])
-        .m_values([4, 8, 12, 16])
-        .r_values([2, 6, 10, 14])
-        .bufferings([Buffering::Unbuffered, Buffering::Buffered]);
-    let scenarios = grid.scenarios().expect("static grid is valid");
-    assert_eq!(scenarios.len(), 32);
-    let budget = SimBudget {
-        replications: 4,
-        warmup: 5_000,
-        measure: 50_000,
-        master_seed: 0x1985_0414,
-        mode: ExecutionMode::Serial,
-        engine,
-        stopping: Stopping::Fixed,
-    };
-    let sim = busnet::core::scenario::BusSimEval::new(budget);
-    let evaluators: [&dyn Evaluator; 1] = [&sim];
-
-    let time = |mode: ExecutionMode| {
-        let start = Instant::now();
-        let records = run_sweep(&scenarios, &evaluators, mode, |_, _, _| {});
-        let secs = start.elapsed().as_secs_f64();
-        (secs, records)
-    };
-    eprintln!("# timing 32-point sweep ({} engine), serial...", engine.name());
-    let (serial_secs, serial_records) = time(ExecutionMode::Serial);
-    eprintln!("# serial: {serial_secs:.2}s; parallel...");
-    let (parallel_secs, parallel_records) = time(ExecutionMode::Parallel);
-    let identical =
-        serial_records.iter().zip(&parallel_records).all(|(a, b)| match (&a.result, &b.result) {
-            (Ok(x), Ok(y)) => x == y,
-            _ => false,
-        });
-    let threads = ExecutionMode::Parallel.threads();
-    let speedup = serial_secs / parallel_secs;
-    eprintln!(
-        "# parallel: {parallel_secs:.2}s on {threads} threads -> {speedup:.2}x, bit-identical: {identical}"
-    );
-
-    // Event-vs-cycle slice: large r, low p, where idle cycles dominate
-    // and the event kernel's time-to-next-event pays off.
-    let slice = ScenarioGrid::new()
-        .n_values([8])
-        .m_values([4, 8, 16])
-        .r_values([16, 24, 32])
-        .p_values([0.1, 0.2])
-        .bufferings([Buffering::Unbuffered, Buffering::Buffered])
-        .scenarios()
-        .expect("static grid is valid");
-    eprintln!("# timing {}-point large-r/low-p slice, cycle vs event engine...", slice.len());
-    let time_engine = |engine: EngineKind| {
-        let sim = busnet::core::scenario::BusSimEval::new(budget.with_engine(engine));
-        let evaluators: [&dyn Evaluator; 1] = [&sim];
-        let start = Instant::now();
-        let records = run_sweep(&slice, &evaluators, ExecutionMode::Serial, |_, _, _| {});
-        (start.elapsed().as_secs_f64(), records)
-    };
-    let (cycle_secs, cycle_records) = time_engine(EngineKind::Cycle);
-    let (event_secs, event_records) = time_engine(EngineKind::Event);
-    let engine_speedup = cycle_secs / event_secs;
-    // The engines use independent RNG streams: their estimates agree
-    // statistically, not bitwise. Record the worst relative gap.
-    let max_rel_gap = cycle_records
-        .iter()
-        .zip(&event_records)
-        .filter_map(|(a, b)| match (&a.result, &b.result) {
-            (Ok(x), Ok(y)) => Some(((x.ebw() - y.ebw()) / x.ebw()).abs()),
-            _ => None,
-        })
-        .fold(0.0f64, f64::max);
-    eprintln!(
-        "# cycle: {cycle_secs:.2}s, event: {event_secs:.2}s -> {engine_speedup:.2}x, \
-         max relative EBW gap {max_rel_gap:.4}"
-    );
-
-    // Hot-spot vs uniform workload cost on the event engine: the
-    // alias-table module draw is O(1) regardless of skew, so the
-    // non-uniform path must stay within ~10% of uniform *event
-    // throughput* (events/second — the two runs execute different
-    // event counts, since a hot spot throttles completions).
-    eprintln!("# timing hot-spot vs uniform workload slice (event engine)...");
-    let workload_slice = |workloads: Vec<busnet::core::params::Workload>| {
-        let slice = ScenarioGrid::new()
-            .n_values([8])
-            .m_values([8, 16])
-            .r_values([8, 16])
-            .p_values([0.2, 1.0])
-            .bufferings([Buffering::Unbuffered, Buffering::Buffered])
-            .workloads(workloads)
-            .scenarios()
-            .expect("static grid is valid");
-        let sim = busnet::core::scenario::BusSimEval::new(budget.with_engine(EngineKind::Event));
-        let evaluators: [&dyn Evaluator; 1] = [&sim];
-        let start = Instant::now();
-        let records = run_sweep(&slice, &evaluators, ExecutionMode::Serial, |_, _, _| {});
-        let secs = start.elapsed().as_secs_f64();
-        let events: u64 = records
-            .iter()
-            .filter_map(|r| r.result.as_ref().ok().map(|e| e.simulated_events()))
-            .sum();
-        (secs, events)
-    };
-    let (uniform_secs, uniform_events) =
-        workload_slice(vec![busnet::core::params::Workload::Uniform]);
-    let (hotspot_secs, hotspot_events) = workload_slice(vec![
-        busnet::core::params::Workload::hot_spot(0.2, 0).expect("valid fraction"),
-    ]);
-    let uniform_eps = uniform_events as f64 / uniform_secs;
-    let hotspot_eps = hotspot_events as f64 / hotspot_secs;
-    let workload_ratio = hotspot_eps / uniform_eps;
-    eprintln!(
-        "# uniform: {uniform_events} events in {uniform_secs:.2}s ({:.1}M ev/s); \
-         hot-spot 0.2: {hotspot_events} events in {hotspot_secs:.2}s ({:.1}M ev/s) -> {workload_ratio:.2}x",
-        uniform_eps / 1e6,
-        hotspot_eps / 1e6
-    );
-
-    // Bursty (MMPP) vs uniform on the same slice: phase boundaries and
-    // window telemetry must amortize to O(cycles / dwell), keeping
-    // event throughput within 15% of stationary.
-    eprintln!("# timing bursty (MMPP) vs uniform workload slice (event engine)...");
-    let (mmpp_secs, mmpp_events) =
-        workload_slice(vec![busnet::core::params::Workload::on_off_burst(
-            1.0, 0.1, 0.9, 500, None,
-        )
-        .expect("valid burst")]);
-    let mmpp_eps = mmpp_events as f64 / mmpp_secs;
-    let mmpp_ratio = mmpp_eps / uniform_eps;
-    eprintln!(
-        "# bursty 1.0/0.1 stay 0.9 dwell 500: {mmpp_events} events in {mmpp_secs:.2}s \
-         ({:.1}M ev/s) -> {mmpp_ratio:.2}x",
-        mmpp_eps / 1e6
-    );
-
-    // The PR 3 (pre-timing-wheel) kernel's event_seconds on this
-    // project's reference container — a host-specific constant kept
-    // only so regenerated files carry the kernel-over-kernel
-    // trajectory; the ratio is meaningless across different hardware.
-    const PR3_EVENT_SECONDS_BASELINE: f64 = 0.119;
-
-    // Queue microbench: timing wheel vs the reference binary heap at
-    // short / typical / beyond-window horizons (in 2-phase keys).
-    eprintln!("# timing queue churn, wheel vs heap...");
-    let queue_ops = 2_000_000u64;
-    let mut queue_json_parts = Vec::new();
-    for horizon in [64u64, 1_024, 16_384] {
-        let mut wheel: EventQueue<u32> = EventQueue::new();
-        let wheel_secs = time_queue_churn(
-            &mut wheel,
-            queue_ops,
-            horizon,
-            |q, t| q.schedule(t, 0),
-            |q| q.pop().expect("population stays positive").0,
-        );
-        let mut heap: HeapEventQueue<u32> = HeapEventQueue::new();
-        let heap_secs = time_queue_churn(
-            &mut heap,
-            queue_ops,
-            horizon,
-            |q, t| q.schedule(t, 0),
-            |q| q.pop().expect("population stays positive").0,
-        );
-        eprintln!(
-            "#   horizon {horizon}: wheel {:.1} ns/op, heap {:.1} ns/op -> {:.2}x",
-            wheel_secs / queue_ops as f64 * 1e9,
-            heap_secs / queue_ops as f64 * 1e9,
-            heap_secs / wheel_secs
-        );
-        queue_json_parts.push(format!(
-            "{{\"horizon\": {horizon}, \"wheel_ns_per_op\": {:.1}, \"heap_ns_per_op\": {:.1}, \
-             \"speedup\": {:.2}}}",
-            wheel_secs / queue_ops as f64 * 1e9,
-            heap_secs / queue_ops as f64 * 1e9,
-            heap_secs / wheel_secs
-        ));
-    }
-
-    // Adaptive vs fixed event cost at the Table 3–4 points: target the
-    // fixed scheme's own achieved precision, count simulated events.
-    eprintln!("# adaptive --ci-width vs fixed replications at the Table 3-4 points...");
-    let t34 = ScenarioGrid::new()
-        .n_values([8])
-        .m_values([8, 16])
-        .r_values([8])
-        .bufferings([Buffering::Unbuffered, Buffering::Buffered])
-        .scenarios()
-        .expect("static grid is valid");
-    let fixed_budget = SimBudget { engine: EngineKind::Event, ..budget };
-    let mut fixed_events = 0u64;
-    let mut adaptive_events = 0u64;
-    let mut widest_gap: f64 = 0.0;
-    for scenario in &t34 {
-        let fixed = busnet::core::scenario::BusSimEval::new(fixed_budget)
-            .evaluate(scenario)
-            .expect("in domain");
-        let adaptive_budget = fixed_budget.with_ci_width(fixed.half_width_95.max(1e-9), 16);
-        let adaptive = busnet::core::scenario::BusSimEval::new(adaptive_budget)
-            .evaluate(scenario)
-            .expect("in domain");
-        let fe = fixed.simulated_events();
-        let ae = adaptive.simulated_events();
-        fixed_events += fe;
-        adaptive_events += ae;
-        widest_gap = widest_gap.max(adaptive.half_width_95 - fixed.half_width_95);
-        eprintln!(
-            "#   {}: fixed {} events (hw {:.4}), adaptive {} events (hw {:.4})",
-            scenario.label(),
-            fe,
-            fixed.half_width_95,
-            ae,
-            adaptive.half_width_95
-        );
-    }
-    let event_savings = 1.0 - adaptive_events as f64 / fixed_events as f64;
-    eprintln!(
-        "# adaptive uses {:.1}% fewer events at matched CI width (max width excess {widest_gap:.5})",
-        event_savings * 100.0
-    );
-
-    // Fluid screening on top of the adaptive baseline: the Table 3–4
-    // grid extended with its p axis, one adaptive evaluator at a fixed
-    // CI target, with and without the `--screen fluid` pre-pass. Both
-    // runs enforce the same half-width target, so the event savings
-    // are measured at equal CI width.
-    eprintln!("# fluid screening vs plain adaptive on the Table 3-4 grid (with p axis)...");
-    let screen_grid = ScenarioGrid::new()
-        .n_values([8])
-        .m_values([8, 16])
-        .r_values([8])
-        .p_values([0.2, 1.0])
-        .bufferings([Buffering::Unbuffered, Buffering::Buffered])
-        .scenarios()
-        .expect("static grid is valid");
-    let screen_ci = 0.02;
-    let screen_budget =
-        SimBudget { engine: EngineKind::Event, ..budget }.with_ci_width(screen_ci, 16);
-    let screen_sim = busnet::core::scenario::BusSimEval::new(screen_budget);
-    let screen_evaluators: [&dyn Evaluator; 1] = [&screen_sim];
-    let screen_plan = ScreenPlan::default();
-    let plain_records =
-        run_sweep(&screen_grid, &screen_evaluators, ExecutionMode::Serial, |_, _, _| {});
-    let screened_records = run_sweep_screened(
-        &screen_grid,
-        &screen_evaluators,
-        ExecutionMode::Serial,
-        Some(&screen_plan),
-        |_, _, _| {},
-    );
-    let sum_events = |records: &[SweepRecord]| -> u64 {
-        records.iter().filter_map(|r| r.result.as_ref().ok().map(|e| e.simulated_events())).sum()
-    };
-    let max_width = |records: &[SweepRecord]| -> f64 {
-        records
-            .iter()
-            .filter_map(|r| r.result.as_ref().ok().map(|e| e.half_width_95))
-            .fold(0.0, f64::max)
-    };
-    let plain_screen_events = sum_events(&plain_records);
-    let screened_events = sum_events(&screened_records);
-    let screened_points = screened_records.iter().filter(|r| r.screened).count();
-    let screening_savings = 1.0 - screened_events as f64 / plain_screen_events as f64;
-    let plain_width = max_width(&plain_records);
-    let screened_width = max_width(&screened_records);
-    eprintln!(
-        "# screening: {screened_points}/{} points screened; {plain_screen_events} -> \
-         {screened_events} events ({:.1}% fewer), max CI width {plain_width:.4} -> \
-         {screened_width:.4}",
-        screen_grid.len(),
-        screening_savings * 100.0
-    );
-
-    // Sweep amortization, analytic side: a population-axis sweep
-    // re-solved from scratch at every point pays the triangular
-    // R(R+1)/2 recursion; axis-incremental grouping warm-starts one
-    // solver pass (exactly R steps). Individual sweeps finish in
-    // microseconds, so both variants are looped for a stable clock.
-    let amort_r = 128u32;
-    let amort_rounds = 50u32;
-    eprintln!(
-        "# sweep amortization: incremental vs scratch population sweep \
-         (R = {amort_r}, {amort_rounds} rounds)..."
-    );
-    let amort_grid = ScenarioGrid::new()
-        .n_values((1..=amort_r).collect::<Vec<_>>())
-        .m_values([16])
-        .r_values([8])
-        .bufferings([Buffering::Buffered])
-        .scenarios()
-        .expect("static grid is valid");
-    let mva = PfqnEval { algorithm: PfqnAlgorithm::Mva };
-    let amort_evaluators: [&dyn Evaluator; 1] = [&mva];
-    let time_amort = |options: &SweepOptions| -> (f64, u64) {
-        let before = busnet::queueing::solver_iterations();
-        let start = Instant::now();
-        for _ in 0..amort_rounds {
-            run_sweep_with(&amort_grid, &amort_evaluators, options, |_, _, _| {});
-        }
-        let secs = start.elapsed().as_secs_f64();
-        (secs, (busnet::queueing::solver_iterations() - before) / u64::from(amort_rounds))
-    };
-    let (incr_secs, incr_iters) = time_amort(&SweepOptions::new(ExecutionMode::Serial));
-    let (scratch_secs, scratch_iters) = time_amort(&SweepOptions {
-        group_incremental: false,
-        ..SweepOptions::new(ExecutionMode::Serial)
-    });
-    let amort_speedup = scratch_secs / incr_secs;
-    eprintln!(
-        "# amortization: scratch {scratch_secs:.3}s ({scratch_iters} solver iterations/sweep), \
-         incremental {incr_secs:.3}s ({incr_iters}) -> {amort_speedup:.2}x"
-    );
-    if amort_speedup < 5.0 {
-        eprintln!("# amortization: incremental sweep only {amort_speedup:.2}x faster (< 5x)");
-        return ExitCode::FAILURE;
-    }
-
-    // Sweep amortization, cached side: re-running a simulated sweep
-    // against a warm memo cache must replay every record without a
-    // single evaluator call.
-    eprintln!("# sweep amortization: cold vs warm cached simulated sweep...");
-    let cache_grid = ScenarioGrid::new()
-        .n_values([8])
-        .m_values([8, 16])
-        .r_values([8])
-        .bufferings([Buffering::Unbuffered, Buffering::Buffered])
-        .scenarios()
-        .expect("static grid is valid");
-    let cache_sim = busnet::core::scenario::BusSimEval::new(budget.with_engine(EngineKind::Event));
-    let cache_evaluators: [&dyn Evaluator; 1] = [&cache_sim];
-    let cache = EvalCache::new();
-    let cached_options =
-        SweepOptions { cache: Some(&cache), ..SweepOptions::new(ExecutionMode::Serial) };
-    let time_cached = || {
-        let start = Instant::now();
-        let records = run_sweep_with(&cache_grid, &cache_evaluators, &cached_options, |_, _, _| {});
-        (start.elapsed().as_secs_f64(), records)
-    };
-    let (cold_secs, _cold_records) = time_cached();
-    let misses_after_cold = cache.stats().misses;
-    let (warm_secs, warm_records) = time_cached();
-    let warm_misses = cache.stats().misses - misses_after_cold;
-    let cache_speedup = cold_secs / warm_secs;
-    eprintln!(
-        "# cache: cold {cold_secs:.3}s, warm {warm_secs:.4}s -> {cache_speedup:.0}x, \
-         {warm_misses} warm evaluator call(s)"
-    );
-    if warm_misses != 0 || !warm_records.iter().all(|r| r.cached) {
-        eprintln!("# cache: warm re-run was not a full replay");
-        return ExitCode::FAILURE;
-    }
-
-    // Supervision overhead on the 32-point grid: the serial run above
-    // is the bare baseline; one supervised re-run (catch_unwind +
-    // retry/budget plumbing, no faults) measures the isolation tax.
-    eprintln!("# timing supervised re-run of the 32-point sweep (serial)...");
-    let bench_supervisor = Supervisor::default();
-    let supervised_options = SweepOptions {
-        supervise: Some(&bench_supervisor),
-        ..SweepOptions::new(ExecutionMode::Serial)
-    };
-    let sup_start = Instant::now();
-    let supervised_records =
-        run_sweep_with(&scenarios, &evaluators, &supervised_options, |_, _, _| {});
-    let supervised_secs = sup_start.elapsed().as_secs_f64();
-    let supervised_identical = serial_records
-        .iter()
-        .zip(&supervised_records)
-        .all(|(a, b)| matches!((&a.result, &b.result), (Ok(x), Ok(y)) if x == y));
-    let supervised_overhead = supervised_secs / serial_secs - 1.0;
-    eprintln!(
-        "# supervised: {supervised_secs:.2}s vs bare {serial_secs:.2}s -> {:.1}% overhead, \
-         bit-identical: {supervised_identical}",
-        supervised_overhead * 100.0
-    );
-
-    // Serve-mode dedup: a duplicate-heavy request stream (four
-    // clients' worth of the same 16-point grid) through the broker.
-    // Coalescing plus the memo cache must hold actual evaluations to
-    // the unique-point count.
-    eprintln!("# timing the serve broker over a duplicate-heavy request stream...");
-    let serve_cache = std::sync::Arc::new(EvalCache::new());
-    let broker = Broker::new(
-        std::sync::Arc::clone(&serve_cache),
-        BrokerConfig { threads, ..BrokerConfig::default() },
-    );
-    let serve_sink: std::sync::Arc<ReplySink> =
-        std::sync::Arc::new(LineSink::new(Box::new(std::io::sink()) as Box<dyn Write + Send>));
-    let serve_unique = 16u64;
-    let serve_requests = 64u64;
-    let serve_start = Instant::now();
-    for i in 0..serve_requests {
-        let n = 2 + (i % serve_unique) * 2;
-        let line = format!(
-            "{{\"id\":{i},\"scenario\":{{\"n\":{n},\"m\":16,\"r\":8,\
-             \"buffering\":\"buffered\"}},\"evaluator\":\"pfqn\"}}"
-        );
-        match parse_request(&line) {
-            Ok(Request::Eval(req)) => broker.submit(req, &serve_sink),
-            other => {
-                eprintln!("bench request failed to parse: {other:?}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    broker.drain();
-    let serve_secs = serve_start.elapsed().as_secs_f64();
-    let serve_counters = broker.counters();
-    let serve_saved = 1.0 - serve_counters.evaluated as f64 / serve_counters.requests as f64;
-    eprintln!(
-        "# serve dedup: {} requests -> {} evaluated ({} coalesced, {} cache replies), \
-         {:.0}% evaluator calls saved",
-        serve_counters.requests,
-        serve_counters.evaluated,
-        serve_counters.coalesced,
-        serve_counters.cache_replies,
-        serve_saved * 100.0
-    );
-    if serve_saved < 0.5 {
-        eprintln!("# FAIL: duplicate-heavy serve stream saved under 50% of evaluator calls");
-        return ExitCode::FAILURE;
-    }
-
-    let host_cpus = std::thread::available_parallelism().map_or(0, std::num::NonZero::get);
-
-    let json = format!(
-        "{{\n  \"benchmark\": \"32-point scenario sweep (n=8, m in 4..16, r in 2..14, both bufferings)\",\n  \
-         \"engine\": \"{engine}\",\n  \
-         \"host\": {{\n    \"os\": \"{host_os}\",\n    \"arch\": \"{host_arch}\",\n    \
-         \"cpus\": {host_cpus},\n    \"worker_threads\": {threads}\n  }},\n  \
-         \"replications\": 4,\n  \"measure_cycles\": 50000,\n  \"threads\": {threads},\n  \
-         \"serial_seconds\": {serial_secs:.3},\n  \"parallel_seconds\": {parallel_secs:.3},\n  \
-         \"speedup\": {speedup:.2},\n  \"bit_identical\": {identical},\n  \
-         \"event_vs_cycle\": {{\n    \
-         \"slice\": \"n=8, m in {{4,8,16}}, r in {{16,24,32}}, p in {{0.1,0.2}}, both bufferings\",\n    \
-         \"points\": {points},\n    \"cycle_seconds\": {cycle_secs:.3},\n    \
-         \"event_seconds\": {event_secs:.3},\n    \"speedup\": {engine_speedup:.2},\n    \
-         \"max_rel_ebw_gap\": {max_rel_gap:.4},\n    \
-         \"pr3_baseline_event_seconds\": {pr3_baseline},\n    \
-         \"throughput_vs_pr3_baseline\": {vs_pr3:.2}\n  }},\n  \
-         \"queue_vs_heap\": {{\n    \"ops\": {queue_ops},\n    \"runs\": [\n      {queue_runs}\n    ]\n  }},\n  \
-         \"hotspot_vs_uniform\": {{\n    \
-         \"slice\": \"n=8, m in {{8,16}}, r in {{8,16}}, p in {{0.2,1.0}}, both bufferings, event engine\",\n    \
-         \"hot_fraction\": 0.2,\n    \
-         \"uniform_seconds\": {uniform_secs:.3},\n    \"uniform_events\": {uniform_events},\n    \
-         \"hotspot_seconds\": {hotspot_secs:.3},\n    \"hotspot_events\": {hotspot_events},\n    \
-         \"event_throughput_ratio\": {workload_ratio:.3},\n    \
-         \"acceptance\": \"non-uniform event throughput within 10% of uniform\"\n  }},\n  \
-         \"mmpp_vs_uniform\": {{\n    \
-         \"slice\": \"n=8, m in {{8,16}}, r in {{8,16}}, p in {{0.2,1.0}}, both bufferings, event engine\",\n    \
-         \"burst\": \"on 1.0 / off 0.1, stay 0.9, dwell 500\",\n    \
-         \"uniform_seconds\": {uniform_secs:.3},\n    \"uniform_events\": {uniform_events},\n    \
-         \"mmpp_seconds\": {mmpp_secs:.3},\n    \"mmpp_events\": {mmpp_events},\n    \
-         \"event_throughput_ratio\": {mmpp_ratio:.3},\n    \
-         \"acceptance\": \"bursty event throughput within 15% of stationary uniform\"\n  }},\n  \
-         \"adaptive_vs_fixed\": {{\n    \
-         \"points\": \"Table 3-4 (n=8, m in {{8,16}}, r=8, p=1, both bufferings)\",\n    \
-         \"fixed_events\": {fixed_events},\n    \"adaptive_events\": {adaptive_events},\n    \
-         \"event_savings\": {event_savings:.3},\n    \"max_ci_width_excess\": {widest_gap:.6}\n  }},\n  \
-         \"fluid_screening\": {{\n    \
-         \"points\": \"Table 3-4 with p axis (n=8, m in {{8,16}}, r=8, p in {{0.2,1.0}}, both bufferings)\",\n    \
-         \"ci_width\": {screen_ci},\n    \"screen_tol\": {screen_tol},\n    \
-         \"adaptive_events\": {plain_screen_events},\n    \"screened_events\": {screened_events},\n    \
-         \"screened_points\": {screened_points},\n    \"total_points\": {screen_points},\n    \
-         \"event_savings\": {screening_savings:.3},\n    \
-         \"max_ci_width_plain\": {plain_width:.6},\n    \"max_ci_width_screened\": {screened_width:.6},\n    \
-         \"acceptance\": \"screening saves >= 25% of simulated events at equal CI width\"\n  }},\n  \
-         \"sweep_amortization\": {{\n    \
-         \"population_axis\": {{\n      \
-         \"slice\": \"n in 1..={amort_r}, m=16, r=8, buffered, mva evaluator, {amort_rounds} rounds\",\n      \
-         \"scratch_seconds\": {scratch_secs:.3},\n      \"incremental_seconds\": {incr_secs:.3},\n      \
-         \"speedup\": {amort_speedup:.2},\n      \
-         \"scratch_solver_iterations\": {scratch_iters},\n      \
-         \"incremental_solver_iterations\": {incr_iters},\n      \
-         \"acceptance\": \"incremental population sweep >= 5x faster than scratch at R = {amort_r}\"\n    }},\n    \
-         \"eval_cache\": {{\n      \
-         \"slice\": \"Table 3-4 (n=8, m in {{8,16}}, r=8, both bufferings), event engine\",\n      \
-         \"cold_seconds\": {cold_secs:.3},\n      \"warm_seconds\": {warm_secs:.4},\n      \
-         \"speedup\": {cache_speedup:.0},\n      \"warm_evaluator_calls\": {warm_misses},\n      \
-         \"acceptance\": \"fully warm cached re-run performs zero evaluator calls\"\n    }}\n  }},\n  \
-         \"supervised_vs_bare\": {{\n    \
-         \"slice\": \"the 32-point grid above, serial, supervised (catch_unwind + retry/budget) vs bare\",\n    \
-         \"bare_seconds\": {serial_secs:.3},\n    \"supervised_seconds\": {supervised_secs:.3},\n    \
-         \"overhead\": {supervised_overhead:.4},\n    \"bit_identical\": {supervised_identical},\n    \
-         \"acceptance\": \"supervision overhead <= 5% event throughput, results bit-identical\"\n  }},\n  \
-         \"serve_dedup\": {{\n    \
-         \"stream\": \"64 requests over 16 unique pfqn points (4 clients' worth of duplicates)\",\n    \
-         \"requests\": {serve_requests},\n    \"unique_points\": {serve_unique},\n    \
-         \"evaluated\": {serve_evaluated},\n    \"coalesced\": {serve_coalesced},\n    \
-         \"cache_replies\": {serve_cache_replies},\n    \"seconds\": {serve_secs:.6},\n    \
-         \"evaluator_calls_saved\": {serve_saved:.3},\n    \
-         \"acceptance\": \"duplicate-heavy stream saves >= 50% of evaluator calls\"\n  }}\n}}\n",
-        engine = engine.name(),
-        host_os = std::env::consts::OS,
-        host_arch = std::env::consts::ARCH,
-        points = slice.len(),
-        pr3_baseline = PR3_EVENT_SECONDS_BASELINE,
-        vs_pr3 = PR3_EVENT_SECONDS_BASELINE / event_secs,
-        queue_runs = queue_json_parts.join(",\n      "),
-        serve_evaluated = serve_counters.evaluated,
-        serve_coalesced = serve_counters.coalesced,
-        serve_cache_replies = serve_counters.cache_replies,
-        screen_tol = screen_plan.tolerance,
-        screen_points = screen_grid.len(),
-    );
-    match std::fs::write(&out, &json) {
-        Ok(()) => {
-            println!("{json}");
-            println!("# written to {out}");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("cannot write {out}: {e}");
-            ExitCode::FAILURE
-        }
-    }
 }

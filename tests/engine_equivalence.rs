@@ -154,3 +154,44 @@ fn arbitration_fairness_orders_sensibly() {
         "fixed priority ({priority:.4}) should be the most unfair (lru {lru:.4}, rr {rr:.4})"
     );
 }
+
+/// The event engine executes O(activity) events: about 4 per round
+/// trip plus think timers and blocked-service rechecks. A regression
+/// that reintroduces per-idle-cycle work blows this budget by about
+/// `(r + 2) / p` times. Event counts are seed-deterministic, so the
+/// pinned budget is a wall-clock proxy that cannot flake.
+#[test]
+fn event_engine_stays_within_pinned_event_budget() {
+    let scenarios = ScenarioGrid::new()
+        .n_values([8])
+        .m_values([8, 16])
+        .r_values([8, 24])
+        .p_values([0.2, 1.0])
+        .bufferings([Buffering::Unbuffered, Buffering::Buffered])
+        .scenarios()
+        .unwrap();
+    assert_eq!(scenarios.len(), 16);
+    for scenario in &scenarios {
+        let report = BusSimBuilder::new(scenario.params)
+            .buffering(scenario.buffering)
+            .engine(EngineKind::Event)
+            .seed(0x5EED)
+            .warmup_cycles(1_000)
+            .measure_cycles(10_000)
+            .run();
+        // Returns are counted over the measured window only: scale
+        // them to the whole run and allow 8 events per return (4
+        // needed plus headroom for blocked rechecks), plus slack per
+        // processor for dropped think timers.
+        let total = 1_000 + 10_000u64;
+        let scaled_returns = report.returns * total / report.measured_cycles;
+        let budget = 8 * scaled_returns + 4 * u64::from(scenario.params.n()) + 64;
+        assert!(
+            report.events <= budget,
+            "{}: {} events over the budget {budget} ({} returns)",
+            scenario.label(),
+            report.events,
+            report.returns
+        );
+    }
+}

@@ -364,6 +364,30 @@ fn hostile_cli_inputs_never_panic() {
     }
 }
 
+/// `run` and `list` parse through the same strict flag cursor as the
+/// other subcommands: a misspelt `--quick` must not silently fall back
+/// to paper effort, and an unknown subcommand prints the usage.
+#[test]
+fn run_and_list_reject_unknown_arguments() {
+    for (case, offender) in [
+        (&["run", "table1", "--quik"][..], "--quik"),
+        (&["run", "table1", "stray", "--quick"][..], "stray"),
+        (&["list", "--all"][..], "--all"),
+    ] {
+        let out = busnet(case);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "busnet {case:?} unexpectedly succeeded");
+        assert!(
+            stderr.contains(&format!("unknown flag or stray argument: {offender}")),
+            "busnet {case:?} stderr:\n{stderr}"
+        );
+        assert!(out.stdout.is_empty(), "busnet {case:?} ran before rejecting its arguments");
+    }
+    let out = busnet(&["no-such-subcommand", "--quick"]);
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).starts_with("usage: busnet <list | run"));
+}
+
 /// Regression: a unit panicking mid-sweep under the supervisor used to
 /// poison the shared cache mutex, turning every later lookup/insert
 /// into a `PoisonError` panic. The cache now recovers the guard, so a
